@@ -15,12 +15,15 @@
 //
 //	GET /blur?deadline=50ms    blur, best published output within 50ms
 //	                           (never empty-handed; may shed under load)
-//	GET /blur?hold=50ms        …or hold for a raw duration (may 504)
 //	GET /blur?accept=25        …or until the output reaches 25 dB
+//	GET /blur?deadline=50ms&accept=25  whichever comes first
 //	GET /equalize?deadline=10ms  histogram equalization, same knobs
 //	GET /cluster?deadline=100ms  k-means clustering, same knobs
 //
-// Omitting every knob returns the bit-exact precise output.
+// Omitting every knob returns the bit-exact precise output. The retired
+// ?hold= knob is answered with 400 naming deadline. /blur/stream and
+// /cluster/stream take the same knobs and send one Server-Sent Event per
+// version the run observes, ending with the delivered snapshot.
 //
 // Deadline requests warm-start from the snapshot cache when a prior
 // request already computed the same content (same route, input, and

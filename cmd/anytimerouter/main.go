@@ -18,7 +18,7 @@
 //	              [-flight-recorder-size 256] [-trace-sample 16]
 //
 // App endpoints are the backends' own (GET /blur, /equalize, /cluster with
-// the usual deadline/hold/accept knobs) — the router is transparent except
+// the usual deadline/accept knobs) — the router is transparent except
 // for three added response headers: X-Anytime-Backend (who served it),
 // X-Anytime-Hedged (whether the race was hedged), and X-Anytime-Trace (the
 // router's end-to-end trace ID; the backend's own is relayed as

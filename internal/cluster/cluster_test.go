@@ -112,8 +112,10 @@ func TestClusterDeadlineContract(t *testing.T) {
 
 // TestClusterAffinity: while membership is stable, one key stays on one
 // backend — the consistent-hash property the warm pools depend on.
+// Hedging is off: a hedged race may be won by the key's second ring
+// member, which is failover, not a move.
 func TestClusterAffinity(t *testing.T) {
-	h := newHarness(t, 3, cluster.RouterConfig{})
+	h := newHarness(t, 3, cluster.RouterConfig{HedgeMax: -1})
 	owners := map[string]string{}
 	for round := 0; round < 5; round++ {
 		for k := 0; k < 9; k++ {

@@ -122,11 +122,11 @@ func (ms *Membership) Add(raw string) error {
 // in-flight requests finish; Remove is the final bookkeeping step.
 func (ms *Membership) Remove(name string) bool {
 	ms.mu.Lock()
+	defer ms.mu.Unlock()
 	_, ok := ms.members[name]
-	delete(ms.members, name)
-	ms.mu.Unlock()
 	if ok {
-		ms.rebuild()
+		delete(ms.members, name)
+		ms.storeRingLocked(nil, 0)
 	}
 	return ok
 }
@@ -153,20 +153,23 @@ func (ms *Membership) Members() []*Member {
 // SetState transitions a member, rebuilding the ring when its ring
 // eligibility (healthy or not) changes. Reports whether a transition
 // actually happened.
+//
+// The transition is one published view: under mu, the new ring is built
+// and stored before the new state, so transitions publish in order and a
+// reader that observes a member's new state finds a ring that already
+// reflects it. The hook runs after the lock is released.
 func (ms *Membership) SetState(name string, s State) bool {
 	ms.mu.Lock()
 	m, ok := ms.members[name]
+	if !ok || m.State() == s {
+		ms.mu.Unlock()
+		return false
+	}
+	if (m.State() == StateHealthy) != (s == StateHealthy) {
+		ms.storeRingLocked(m, s)
+	}
+	m.state.Store(int32(s))
 	ms.mu.Unlock()
-	if !ok {
-		return false
-	}
-	old := State(m.state.Swap(int32(s)))
-	if old == s {
-		return false
-	}
-	if (old == StateHealthy) != (s == StateHealthy) {
-		ms.rebuild()
-	}
 	if ms.h != nil && ms.h.MemberState != nil {
 		ms.h.MemberState(name, s.String())
 	}
@@ -177,17 +180,28 @@ func (ms *Membership) SetState(name string, s State) bool {
 // healthy backends) — callers must handle a nil lookup.
 func (ms *Membership) Ring() *Ring { return ms.ring.Load() }
 
-// rebuild swaps in a fresh ring over the currently-healthy members, in
-// sorted name order so the ring is deterministic across router replicas.
+// rebuild swaps in a fresh ring over the currently-healthy members.
 func (ms *Membership) rebuild() {
 	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	ms.storeRingLocked(nil, 0)
+}
+
+// storeRingLocked publishes a ring over the healthy members, counting
+// pending (when non-nil) as already in state to. Members are taken in
+// sorted name order so the ring is deterministic across router replicas.
+// The caller holds mu.
+func (ms *Membership) storeRingLocked(pending *Member, to State) {
 	healthy := make([]string, 0, len(ms.members))
 	for name, m := range ms.members {
-		if m.State() == StateHealthy {
+		st := m.State()
+		if m == pending {
+			st = to
+		}
+		if st == StateHealthy {
 			healthy = append(healthy, name)
 		}
 	}
-	ms.mu.Unlock()
 	sort.Strings(healthy)
 	ms.ring.Store(NewRing(healthy, ms.replicas))
 }

@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -234,5 +238,85 @@ func TestCheckerProbeInheritsCtx(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("sweep ignored context cancellation; probe not derived from ctx")
+	}
+}
+
+// TestMembershipConcurrentTransitions stresses the membership view: one
+// writer per member flips it between healthy, draining and down while
+// readers walk the published rings. A member has a single writer, so once
+// its SetState returns, every ring published afterwards must agree with
+// the state it set — a concurrent transition of another member that
+// published out of order would show up as a stale ring. At quiescence the
+// ring is exactly the healthy set.
+func TestMembershipConcurrentTransitions(t *testing.T) {
+	const members = 6
+	urls := make([]string, members)
+	names := make([]string, members)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://m%d:80", i)
+		names[i] = fmt.Sprintf("m%d:80", i)
+	}
+	ms, err := NewMembership(urls, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ring := ms.Ring()
+				for _, name := range ring.Members() {
+					if ms.Member(name) == nil {
+						t.Errorf("ring holds unknown member %s", name)
+						return
+					}
+				}
+				if got := ring.Lookup("key", 2); len(got) > ring.Size() {
+					t.Errorf("lookup returned %d of %d members", len(got), ring.Size())
+					return
+				}
+			}
+		}()
+	}
+
+	var writers sync.WaitGroup
+	for i, name := range names {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			rng := rand.New(rand.NewPCG(uint64(i), 7))
+			for range 100 {
+				to := State(rng.IntN(3))
+				ms.SetState(name, to)
+				if on := slices.Contains(ms.Ring().Members(), name); on != (to == StateHealthy) {
+					t.Errorf("%s set %s, but on the ring = %v", name, to, on)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	var healthy []string
+	for _, m := range ms.Members() {
+		if m.State() == StateHealthy {
+			healthy = append(healthy, m.Name)
+		}
+	}
+	ring := ms.Ring().Members()
+	slices.Sort(ring)
+	if !slices.Equal(ring, healthy) {
+		t.Fatalf("quiescent ring %v, healthy set %v", ring, healthy)
 	}
 }

@@ -130,10 +130,12 @@ func (a *Automaton) Start(ctx context.Context) error {
 		err := a.err
 		a.mu.Unlock()
 		cancel()
-		close(done)
+		// The finish hook runs before done closes, so whoever waits on the
+		// automaton (Done, Stop, Wait) also sees the run counted.
 		if hooks != nil && hooks.AutomatonFinish != nil {
 			hooks.AutomatonFinish(err, time.Since(begin))
 		}
+		close(done)
 	}()
 	return nil
 }

@@ -30,6 +30,27 @@ func cacheEpoch(size, workers int) uint64 {
 	return h
 }
 
+// seed warm-starts a deadline request's entry from the snapshot cache: the
+// content key's own entry, or failing that a delta start from the sibling
+// key the client names with ?prior= (typically the previous frame of a
+// stream). It returns the X-Anytime-Cache value ("hit", "delta", "miss",
+// or "" with caching disabled) and the seed version.
+func (s *Server) seed(ctx context.Context, entry serve.Entry[*pix.Image], rt *route, key snapcache.Key, prior string) (string, core.Version) {
+	if s.cache == nil {
+		return "", 0
+	}
+	if ce, hit := serve.SeedFromCache(ctx, entry, s.cache, key); hit {
+		s.reg.Counter(telemetry.MetricSnapcacheSeeds, telemetry.Labels{"mode": "warm"}).Inc()
+		return "hit", ce.Version
+	}
+	if prior != "" {
+		if mode, v := s.seedDelta(ctx, entry, rt.pool.Name(), prior, rt.input); mode != "" {
+			return mode, v
+		}
+	}
+	return "miss", 0
+}
+
 // seedDelta attempts a delta start: the request's exact content key
 // missed, but the client named a sibling key (?prior=, typically the
 // previous frame of a stream) whose entry may still be cached. On a

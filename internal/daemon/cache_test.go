@@ -3,7 +3,9 @@ package daemon
 import (
 	"bytes"
 	"net/http"
+	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"anytime/internal/pix"
@@ -53,8 +55,68 @@ func TestCacheWarmStartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !img.Equal(s.blurRef) {
+	if !img.Equal(s.blur.ref) {
 		t.Fatal("warm-started precise output differs from the cold baseline")
+	}
+}
+
+// TestCacheWarmStartWithAccept: accept composes with a warm start without
+// breaking its version invariant. The seed already meets any threshold a
+// cached precise entry can, yet it is not this run's work: the delivery
+// and every streamed event must be newer than the seed.
+func TestCacheWarmStartWithAccept(t *testing.T) {
+	s := testServer(t)
+	if rec := get(t, s, "/blur"); rec.Code != http.StatusOK {
+		t.Fatalf("precise: %d %s", rec.Code, rec.Body.String())
+	}
+	for _, path := range []string{"/blur?deadline=2s&accept=10", "/blur/stream?deadline=2s&accept=10"} {
+		rec := get(t, s, path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+		}
+		if got := rec.Header().Get("X-Anytime-Cache"); got != "hit" {
+			t.Fatalf("%s: X-Anytime-Cache = %q, want hit", path, got)
+		}
+		seedV, err := strconv.Atoi(rec.Header().Get("X-Anytime-Seed-Version"))
+		if err != nil || seedV < 1 {
+			t.Fatalf("%s: X-Anytime-Seed-Version = %q", path, rec.Header().Get("X-Anytime-Seed-Version"))
+		}
+		versions := []string{rec.Header().Get("X-Anytime-Version")}
+		if strings.Contains(path, "stream") {
+			versions = versions[:0]
+			for _, m := range regexp.MustCompile(`"version":(\d+)`).FindAllStringSubmatch(rec.Body.String(), -1) {
+				versions = append(versions, m[1])
+			}
+			if len(versions) == 0 {
+				t.Fatalf("%s: no events:\n%s", path, rec.Body.String())
+			}
+		}
+		for _, v := range versions {
+			if got, err := strconv.Atoi(v); err != nil || got <= seedV {
+				t.Errorf("%s: delivered version %q not past seed %d", path, v, seedV)
+			}
+		}
+	}
+}
+
+// TestCacheAcceptOnlyNotAdmitted: an accept-only request runs cold and
+// leaves the cache as it found it; only deadline and precise deliveries
+// are admitted.
+func TestCacheAcceptOnlyNotAdmitted(t *testing.T) {
+	s := testServer(t)
+	for _, path := range []string{"/blur?accept=10", "/blur/stream?accept=10"} {
+		if rec := get(t, s, path); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+		}
+		if n := s.cache.Len(); n != 0 {
+			t.Fatalf("%s: cache entries = %d, want 0", path, n)
+		}
+	}
+	if rec := get(t, s, "/blur?deadline=2s&accept=10"); rec.Code != http.StatusOK {
+		t.Fatalf("deadline&accept: %d", rec.Code)
+	}
+	if n := s.cache.Len(); n != 1 {
+		t.Fatalf("cache entries after deadline&accept = %d, want 1", n)
 	}
 }
 

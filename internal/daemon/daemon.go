@@ -37,8 +37,7 @@ import (
 // runtime — per-route warm pools, the FIFO admission queue, and the load
 // controller — so request handling only pays for the automaton run itself.
 type Server struct {
-	mux     *http.ServeMux
-	workers int
+	mux *http.ServeMux
 
 	// queue is the FIFO admission queue bounding concurrently running
 	// automata (replacing the old unfair channel semaphore): slots execute,
@@ -79,18 +78,18 @@ type Server struct {
 	// docs/CACHING.md.
 	cache      *snapcache.Cache[*pix.Image]
 	cacheEpoch uint64
-	grayDigest string
-	rgbDigest  string
 
-	grayIn  *pix.Image
-	rgbIn   *pix.Image
-	blurRef *pix.Image
-	eqRef   *pix.Image
-	kmRef   *pix.Image
+	blur, equalize, cluster *route
+}
 
-	blurPool *serve.Pool[*pix.Image]
-	eqPool   *serve.Pool[*pix.Image]
-	kmPool   *serve.Pool[*pix.Image]
+// route is one served app: its warm pool, the input it computes over (with
+// that input's content digest, the default cache key), and the precise
+// reference every delivery is scored against.
+type route struct {
+	pool   *serve.Pool[*pix.Image]
+	input  *pix.Image
+	digest string
+	ref    *pix.Image
 }
 
 // Config carries the operational knobs from main. Zero values take
@@ -176,9 +175,8 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		mux:     http.NewServeMux(),
-		workers: workers,
-		queue:   queue,
+		mux:   http.NewServeMux(),
+		queue: queue,
 		// The ramp starts at a quarter of the waiting room and bottoms out
 		// when the room is full; with no waiting room the depth is always
 		// zero and the controller never fires.
@@ -195,8 +193,6 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		slotsInUse: reg.Gauge(metricSlotsInUse, nil),
 		recorder:   recorder,
 		started:    time.Now(),
-		grayIn:     gray,
-		rgbIn:      rgb,
 	}
 	if err := s.ctrl.Validate(); err != nil {
 		return nil, err
@@ -215,19 +211,10 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		}
 	}
 	s.cacheEpoch = cacheEpoch(size, workers)
-	s.grayDigest = snapcache.DigestImage(gray)
-	s.rgbDigest = snapcache.DigestImage(rgb)
-	if s.blurRef, err = conv2d.Precise(gray, conv2d.Config{Workers: workers}); err != nil {
-		return nil, err
-	}
-	if s.eqRef, err = histeq.Precise(gray, histeq.Config{Workers: workers}); err != nil {
-		return nil, err
-	}
-	if s.kmRef, err = kmeans.Precise(rgb, kmeans.Config{Workers: workers}); err != nil {
-		return nil, err
-	}
-	if s.blurPool, err = s.newPool("blur", cfg, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
-		run, err := conv2d.New(s.grayIn, conv2d.Config{Workers: s.workers})
+	if s.blur, err = s.newRoute("blur", cfg, gray, func() (*pix.Image, error) {
+		return conv2d.Precise(gray, conv2d.Config{Workers: workers})
+	}, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
+		run, err := conv2d.New(gray, conv2d.Config{Workers: workers})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -235,8 +222,10 @@ func New(size, workers int, cfg Config) (*Server, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if s.eqPool, err = s.newPool("equalize", cfg, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
-		run, err := histeq.New(s.grayIn, histeq.Config{Workers: s.workers})
+	if s.equalize, err = s.newRoute("equalize", cfg, gray, func() (*pix.Image, error) {
+		return histeq.Precise(gray, histeq.Config{Workers: workers})
+	}, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
+		run, err := histeq.New(gray, histeq.Config{Workers: workers})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -244,8 +233,10 @@ func New(size, workers int, cfg Config) (*Server, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if s.kmPool, err = s.newPool("cluster", cfg, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
-		run, err := kmeans.New(s.rgbIn, kmeans.Config{Workers: s.workers})
+	if s.cluster, err = s.newRoute("cluster", cfg, rgb, func() (*pix.Image, error) {
+		return kmeans.Precise(rgb, kmeans.Config{Workers: workers})
+	}, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {
+		run, err := kmeans.New(rgb, kmeans.Config{Workers: workers})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -253,10 +244,11 @@ func New(size, workers int, cfg Config) (*Server, error) {
 	}); err != nil {
 		return nil, err
 	}
-	s.handle("GET /blur", s.handleApp(s.blurPool, s.blurRef, s.grayIn, s.grayDigest))
-	s.handle("GET /equalize", s.handleApp(s.eqPool, s.eqRef, s.grayIn, s.grayDigest))
-	s.handle("GET /cluster", s.handleApp(s.kmPool, s.kmRef, s.rgbIn, s.rgbDigest))
-	s.registerStreams()
+	for _, rt := range []*route{s.blur, s.equalize, s.cluster} {
+		s.handle("GET /"+rt.pool.Name(), s.handleApp(rt, false))
+	}
+	s.handle("GET /blur/stream", s.handleApp(s.blur, true))
+	s.handle("GET /cluster/stream", s.handleApp(s.cluster, true))
 	s.registerOps(cfg.Pprof)
 	s.registerDebugRequests()
 	s.handle("GET /", func(w http.ResponseWriter, r *http.Request) {
@@ -266,12 +258,11 @@ func New(size, workers int, cfg Config) (*Server, error) {
 		}
 		fmt.Fprintln(w, "anytimed — hold a request for more precision")
 		fmt.Fprintln(w, "  GET /blur?deadline=50ms  blur, best output published within 50ms")
-		fmt.Fprintln(w, "  GET /blur?hold=50ms      blur, stopped after 50ms (may 504 if nothing landed)")
-		fmt.Fprintln(w, "  GET /blur?accept=25      blur, stopped at 25 dB")
-		fmt.Fprintln(w, "  GET /equalize?hold=10ms  histogram equalization")
-		fmt.Fprintln(w, "  GET /cluster?hold=100ms  k-means clustering")
+		fmt.Fprintln(w, "  GET /blur?accept=25      blur, stopped at 25 dB (add deadline= to bound it too)")
+		fmt.Fprintln(w, "  GET /equalize?deadline=10ms  histogram equalization")
+		fmt.Fprintln(w, "  GET /cluster?deadline=100ms  k-means clustering")
 		fmt.Fprintln(w, "  GET /blur?deadline=50ms&input=key   cache key override (ring-affine repeats warm-start)")
-		fmt.Fprintln(w, "  GET /blur/stream         live SSE: watch quality rise per version")
+		fmt.Fprintln(w, "  GET /blur/stream         live SSE: watch quality rise per version (same knobs)")
 		fmt.Fprintln(w, "  GET /cluster/stream      live SSE for k-means")
 		fmt.Fprintln(w, "  GET /metrics             Prometheus exposition (stages, buffers, pools, HTTP)")
 		fmt.Fprintln(w, "  GET /debug/vars          expvar JSON view of the same registry")
@@ -283,18 +274,23 @@ func New(size, workers int, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newPool builds one route's warm pool. Telemetry attaches once per pooled
-// instance, at construction: the lifecycle hooks and buffer observers
-// survive Reset, so attaching per request would pile observers onto reused
-// buffers. Buffer names recur across instances (every /blur automaton
-// publishes to the same-named buffer), so the series accumulate per route.
+// newRoute computes a route's precise reference and builds its warm pool.
+// Telemetry attaches once per pooled instance, at construction: the
+// lifecycle hooks and buffer observers survive Reset, so attaching per
+// request would pile observers onto reused buffers. Buffer names recur
+// across instances (every /blur automaton publishes to the same-named
+// buffer), so the series accumulate per route.
 //
 // Request tracing attaches the same way, through a per-instance
 // reqtrace.Slot: the publish observer and reset hook registered here are
 // permanent, and report into whichever request's trace is bound to the slot
 // at the moment they fire (no trace bound = one atomic load, nothing
 // recorded).
-func (s *Server) newPool(name string, cfg Config, build func() (*core.Automaton, *core.Buffer[*pix.Image], error)) (*serve.Pool[*pix.Image], error) {
+func (s *Server) newRoute(name string, cfg Config, input *pix.Image, precise func() (*pix.Image, error), build func() (*core.Automaton, *core.Buffer[*pix.Image], error)) (*route, error) {
+	ref, err := precise()
+	if err != nil {
+		return nil, err
+	}
 	p, err := serve.NewPool(name, cfg.Slots, func() (serve.Entry[*pix.Image], error) {
 		a, out, err := build()
 		if err != nil {
@@ -315,19 +311,23 @@ func (s *Server) newPool(name string, cfg Config, build func() (*core.Automaton,
 	if err := p.Warm(cfg.Warm); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &route{pool: p, input: input, digest: snapcache.DigestImage(input), ref: ref}, nil
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// handleApp builds the common anytime-over-HTTP flow around a route's warm
-// pool: admission, checkout, knob dispatch, delivery, check-in. Every
-// request gets a reqtrace.Trace (its ID is echoed in X-Anytime-Trace);
-// completed traces go to the flight recorder, which always keeps the
-// interesting ones — see /debug/requests.
-func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, inputDigest string) http.HandlerFunc {
+// handleApp builds the anytime-over-HTTP flow around a route's warm pool:
+// admission, checkout, warm start, the serving contract (serve.Run),
+// delivery, check-in. Every request gets a reqtrace.Trace (its ID is echoed
+// in X-Anytime-Trace); completed traces go to the flight recorder, which
+// always keeps the interesting ones — see /debug/requests.
+//
+// The delivered snapshot is the PNM response body, or with stream set the
+// last of the Server-Sent Events sent for every version the run observes
+// (see stream.go).
+func (s *Server) handleApp(rt *route, stream bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, tr := reqtrace.New(r.Context(), pool.Name())
+		ctx, tr := reqtrace.New(r.Context(), r.URL.Path[1:])
 		r = r.WithContext(ctx)
 		sw, wrapped := w.(*statusWriter)
 		if !wrapped {
@@ -343,11 +343,14 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 			tr.Finish(sw.status())
 			s.recorder.Record(tr)
 		}()
+		fail := func(code int, err error) {
+			tr.Error(err.Error())
+			http.Error(w, err.Error(), code)
+		}
 
 		k, err := parseKnobs(r)
 		if err != nil {
-			tr.Error(err.Error())
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			fail(http.StatusBadRequest, err)
 			return
 		}
 		release, ok := s.admit(r)
@@ -356,10 +359,9 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 			return
 		}
 		defer release()
-		entry, err := pool.Get(ctx)
+		entry, err := rt.pool.Get(ctx)
 		if err != nil {
-			tr.Error(err.Error())
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			fail(http.StatusInternalServerError, err)
 			return
 		}
 		entry.Slot.Bind(tr)
@@ -370,188 +372,147 @@ func (s *Server) handleApp(pool *serve.Pool[*pix.Image], ref, input *pix.Image, 
 		// drops the entry; the pool rebuilds on demand. Unbind follows Put
 		// so the check-in's reset/pool.put events reach the trace.
 		defer func() {
-			_ = pool.Put(entry)
+			_ = rt.pool.Put(entry)
 			entry.Slot.Unbind()
 		}()
 
 		start := time.Now()
-		var snap core.Snapshot[*pix.Image]
-		deadlineFired := false
-		interrupted := false
-		budgeted := false
+		key := s.cacheKey(rt, r)
 		effective := k.deadline
-		// The cache key: the route input's content digest — overridable
-		// with ?input=, the same string the router's ring keys on
-		// (cluster.RingKey), so repeats of a key land on the shard whose
-		// cache holds the warm entry — plus the config epoch, so entries
-		// computed under another configuration can never seed.
-		cacheKey := snapcache.Key{App: pool.Name(), Digest: inputDigest, Epoch: s.cacheEpoch}
-		if in := r.URL.Query().Get("input"); in != "" {
-			cacheKey.Digest = in
+		if k.deadline > 0 {
+			effective = s.deadlineContract(ctx, w.Header(), entry, rt, key, k, r.URL.Query().Get("prior"))
 		}
-		cacheState := ""
-		var seedVersion core.Version
-		admitOut := false
-		switch {
-		case k.accept > 0:
-			res, err := serve.RunUntil(ctx, entry, func(sn core.Snapshot[*pix.Image]) bool {
-				db, err := metrics.SNR(ref.Pix, sn.Value.Pix)
-				return err == nil && db >= k.accept
-			}, s.serveHooks)
-			if err != nil {
-				httpRunError(w, err)
-				return
-			}
-			snap, interrupted = res.Snapshot, res.Interrupted
-		case k.deadline > 0:
-			// Warm start: a cache hit for this content key installs the
-			// cached approximation as the starting published state, so the
-			// deadline budget below is spent purely on refinement. Only the
-			// deadline contract seeds — the accept/hold knobs reason about
-			// absolute version numbers and SNR trajectories from a cold
-			// start, and the no-knob path runs to precise regardless.
-			if s.cache != nil {
-				cacheState = "miss"
-				if ce, hit := serve.SeedFromCache(ctx, entry, s.cache, cacheKey); hit {
-					cacheState = "hit"
-					seedVersion = ce.Version
-					s.reg.Counter(telemetry.MetricSnapcacheSeeds, telemetry.Labels{"mode": "warm"}).Inc()
-				} else if prior := r.URL.Query().Get("prior"); prior != "" {
-					// Delta start: the client names a sibling key (the
-					// previous frame of a stream) whose entry we can reuse
-					// after masking the tiles where the inputs differ.
-					if mode, v := s.seedDelta(ctx, entry, pool.Name(), prior, input); mode != "" {
-						cacheState = mode
-						seedVersion = v
-					}
-				}
-			}
-			// A router-propagated budget caps the deadline before local
-			// shedding: the fleet already spent part of this request's time
-			// upstream (queue wait, network), and the backend must not run
-			// longer than the budget it was handed.
-			var base time.Duration
-			base, budgeted = serve.ApplyBudget(k.deadline, k.budget, k.budgetSet)
-			if budgeted {
-				tr.Budget(base, k.budget <= 0)
-			}
-			effective = base
-			if s.shed {
-				effective = s.ctrl.Scale(ctx, base, s.queue.Depth())
-			}
-			admitOut = true
-			res, err := serve.Run(ctx, entry, effective, s.serveHooks)
-			if err != nil {
-				httpRunError(w, err)
-				return
-			}
-			snap, deadlineFired = res.Snapshot, res.Interrupted
-			interrupted = res.Interrupted
-		case k.hold > 0:
-			// Legacy raw knob: stop after the hold and take whatever is
-			// published — including nothing (504). The deadline knob is the
-			// contract that never returns empty-handed. The knob bypasses
-			// serve.Run, so the run spans are recorded here.
-			cancel := core.StopAfter(entry.Automaton, k.hold)
-			defer cancel()
-			tr.RunStart(k.hold)
-			if err := entry.Automaton.Start(ctx); err != nil {
-				tr.Error(err.Error())
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			<-entry.Automaton.Done()
-			tr.RunFinish(holdOutcome(entry.Automaton.Err()), time.Since(start))
-			sn, ok := entry.Out.Latest()
-			if !ok {
-				tr.Error("no output produced within the hold window")
-				http.Error(w, "no output produced within the hold window", http.StatusGatewayTimeout)
-				return
-			}
-			snap, interrupted = sn, !sn.Final
-		default:
-			admitOut = true
-			res, err := serve.Run(ctx, entry, 0, s.serveHooks)
-			if err != nil {
-				httpRunError(w, err)
-				return
-			}
-			snap = res.Snapshot
+		if s.draining.Load() {
+			w.Header().Set("X-Anytime-Draining", "true")
 		}
-
-		db, err := metrics.SNR(ref.Pix, snap.Value.Pix)
+		var sse *sseStream
+		if stream {
+			sse = newSSE(w, start)
+		}
+		res, err := serve.Run(ctx, entry, effective, s.serveHooks, predicate(rt.ref, k.accept, sse))
 		if err != nil {
-			tr.Error(err.Error())
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			httpRunError(w, err)
+			return
+		}
+		snap := res.Snapshot
+		db, err := metrics.SNR(rt.ref.Pix, snap.Value.Pix)
+		if err != nil {
+			fail(http.StatusInternalServerError, err)
 			return
 		}
 		snrDB := db
 		if math.IsInf(snrDB, 0) || math.IsNaN(snrDB) {
 			snrDB = 0 // precise deliveries have no finite SNR; record "unmeasured"
 		}
-		tr.Deliver(uint64(snap.Version), snap.Final, interrupted, snrDB, time.Since(start))
+		tr.Deliver(uint64(snap.Version), snap.Final, res.Interrupted, snrDB, time.Since(start))
 		s.recordDelivered(db, snap.Final)
-		var buf bytes.Buffer
-		if err := pix.EncodePNM(&buf, snap.Value); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		ct := "image/x-portable-graymap"
-		if snap.Value.C == 3 {
-			ct = "image/x-portable-pixmap"
-		}
-		w.Header().Set("Content-Type", ct)
-		w.Header().Set("X-Anytime-Version", fmt.Sprint(snap.Version))
-		w.Header().Set("X-Anytime-Final", fmt.Sprint(snap.Final))
-		w.Header().Set("X-Anytime-SNR-dB", metrics.FormatDB(db))
-		w.Header().Set("X-Anytime-Elapsed", time.Since(start).String())
-		if k.deadline > 0 {
-			w.Header().Set("X-Anytime-Deadline", k.deadline.String())
-			w.Header().Set("X-Anytime-Effective-Deadline", effective.String())
-			w.Header().Set("X-Anytime-Deadline-Fired", fmt.Sprint(deadlineFired))
-			// Echoed only when the budget actually capped the contract: a
-			// budget looser than the deadline never participated, and
-			// echoing it would misreport what governed the request.
-			if budgeted {
-				w.Header().Set(serve.BudgetHeader, serve.FormatBudget(k.budget))
+		if sse != nil {
+			sse.send(snap, db)
+		} else {
+			if k.deadline > 0 {
+				// Whether the deadline — not acceptance or completion —
+				// ended the run.
+				w.Header().Set("X-Anytime-Deadline-Fired", fmt.Sprint(res.Interrupted && !(k.accept > 0 && db >= k.accept)))
 			}
-		}
-		if cacheState != "" {
-			w.Header().Set("X-Anytime-Cache", cacheState)
-			if seedVersion > 0 {
-				w.Header().Set("X-Anytime-Seed-Version", fmt.Sprint(seedVersion))
+			if !writeImage(w, snap, db, start) {
+				return
 			}
-		}
-		if s.draining.Load() {
-			w.Header().Set("X-Anytime-Draining", "true")
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return
 		}
 		// Admission happens after the response bytes are written — off the
-		// request's critical path. The cache's own rules keep it sound: a
-		// version not newer than the stored one (including a re-admission of
-		// the very entry this run was seeded from) is refused.
-		if admitOut {
-			serve.Admit(s.cache, cacheKey, serve.Result[*pix.Image]{Snapshot: snap}, snrDB)
+		// request's critical path; the cache refuses versions not newer than
+		// its own (including this run's seed). Accept-only runs, which never
+		// seed, do not admit either.
+		if k.accept == 0 || k.deadline > 0 {
+			serve.Admit(s.cache, key, res, snrDB)
 		}
 	}
 }
 
-// holdOutcome folds a held automaton's terminal error into the outcome
-// vocabulary the run.finish span uses (precise | stopped | failed).
-func holdOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "precise"
-	case errors.Is(err, core.ErrStopped):
-		return "stopped"
-	default:
-		return "failed"
+// cacheKey is a request's snapshot cache key: the route input's content
+// digest — overridable with ?input=, the same string the router's ring
+// keys on (cluster.RingKey), so repeats of a key land on the shard whose
+// cache holds the warm entry — plus the config epoch, so entries computed
+// under another configuration can never seed.
+func (s *Server) cacheKey(rt *route, r *http.Request) snapcache.Key {
+	key := snapcache.Key{App: rt.pool.Name(), Digest: rt.digest, Epoch: s.cacheEpoch}
+	if in := r.URL.Query().Get("input"); in != "" {
+		key.Digest = in
+	}
+	return key
+}
+
+// deadlineContract prepares a deadline request's run and returns its
+// effective deadline, setting the contract's response headers. A warm
+// start comes first, so the whole budget is spent on refinement. Only
+// deadline requests seed — a precise request runs to the end regardless,
+// and an accept-only request reasons about its SNR trajectory from a cold
+// start. A router-propagated budget then caps the deadline before local
+// shedding: the fleet already spent part of this request's time upstream
+// (queue wait, network), and the backend must not run longer than the
+// budget it was handed.
+func (s *Server) deadlineContract(ctx context.Context, h http.Header, entry serve.Entry[*pix.Image], rt *route, key snapcache.Key, k knobs, prior string) time.Duration {
+	if state, v := s.seed(ctx, entry, rt, key, prior); state != "" {
+		h.Set("X-Anytime-Cache", state)
+		if v > 0 {
+			h.Set("X-Anytime-Seed-Version", fmt.Sprint(v))
+		}
+	}
+	base, budgeted := serve.ApplyBudget(k.deadline, k.budget, k.budgetSet)
+	// The budget is echoed only when it actually capped the contract: a
+	// budget looser than the deadline never participated.
+	if budgeted {
+		reqtrace.FromContext(ctx).Budget(base, k.budget <= 0)
+		h.Set(serve.BudgetHeader, serve.FormatBudget(k.budget))
+	}
+	effective := base
+	if s.shed {
+		effective = s.ctrl.Scale(ctx, base, s.queue.Depth())
+	}
+	h.Set("X-Anytime-Deadline", k.deadline.String())
+	h.Set("X-Anytime-Effective-Deadline", effective.String())
+	return effective
+}
+
+// predicate returns serve.Run's accept argument: each version the run
+// observes is scored against ref, sent to the stream (when streaming), and
+// admitted once it reaches threshold (when set). It is nil — Run then never
+// wakes per version — for image requests without an accept threshold.
+func predicate(ref *pix.Image, threshold float64, sse *sseStream) func(core.Snapshot[*pix.Image]) bool {
+	if threshold <= 0 && sse == nil {
+		return nil
+	}
+	return func(sn core.Snapshot[*pix.Image]) bool {
+		db, err := metrics.SNR(ref.Pix, sn.Value.Pix)
+		if err != nil {
+			return false
+		}
+		sse.send(sn, db)
+		return threshold > 0 && db >= threshold
 	}
 }
 
-// httpRunError maps a serve.Run/RunUntil failure to a response: a gone
+// writeImage encodes the delivered snapshot as the PNM response body with
+// its delivery headers, reporting whether the body was written.
+func writeImage(w http.ResponseWriter, snap core.Snapshot[*pix.Image], db float64, start time.Time) bool {
+	var buf bytes.Buffer
+	if err := pix.EncodePNM(&buf, snap.Value); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "image/x-portable-graymap")
+	if snap.Value.C == 3 {
+		h.Set("Content-Type", "image/x-portable-pixmap")
+	}
+	h.Set("X-Anytime-Version", fmt.Sprint(snap.Version))
+	h.Set("X-Anytime-Final", fmt.Sprint(snap.Final))
+	h.Set("X-Anytime-SNR-dB", metrics.FormatDB(db))
+	h.Set("X-Anytime-Elapsed", time.Since(start).String())
+	_, err := w.Write(buf.Bytes())
+	return err == nil
+}
+
+// httpRunError maps a serve.Run failure to a response: a gone
 // client gets the (unseen) 503, anything else is a pipeline failure.
 func httpRunError(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.Canceled) {

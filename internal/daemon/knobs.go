@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,63 +10,55 @@ import (
 	"anytime/internal/serve"
 )
 
-// knobs are one request's stopping controls. At most one is set.
+// knobs are one request's stopping controls: the paper's two triggers
+// (§III-A), a time constraint and an accuracy metric, as stop conditions
+// on one run. Whichever is met first ends it.
 type knobs struct {
-	// hold stops the automaton after a raw duration and takes whatever is
-	// published — possibly nothing (504).
-	hold time.Duration
 	// deadline is the serving contract: the best published snapshot when
-	// the deadline fires, never empty-handed, shed under load.
+	// the deadline fires, never empty-handed, shed under load. Zero runs
+	// to the precise output.
 	deadline time.Duration
-	// accept stops at the first output reaching this SNR (dB).
+	// accept, when set, also stops the run at the first output reaching
+	// this SNR (dB).
 	accept float64
 	// budget is the remaining deadline budget a routing tier handed this
 	// backend (serve.BudgetHeader); budgetSet reports whether the header
-	// was present. It caps the deadline knob and is ignored by the
-	// precise/hold/accept paths — zero-deadline precise requests are never
-	// budgeted.
+	// was present. It caps the deadline knob and is ignored without one —
+	// zero-deadline precise requests are never budgeted.
 	budget    time.Duration
 	budgetSet bool
 }
 
-// knobCap bounds the hold/deadline knobs so a stray client cannot park on
-// an execution slot indefinitely.
+// knobCap bounds the deadline knob so a stray client cannot park on an
+// execution slot indefinitely.
 const knobCap = 10 * time.Second
 
-// parseKnobs extracts the hold/accept/deadline stopping knobs from a
-// request, plus the router-propagated deadline budget header.
+// parseKnobs extracts the deadline/accept stopping knobs from a request,
+// plus the router-propagated deadline budget header. Unknown parameters
+// are ignored.
 func parseKnobs(r *http.Request) (knobs, error) {
 	var k knobs
 	var err error
-	if h := r.URL.Query().Get("hold"); h != "" {
-		k.hold, err = time.ParseDuration(h)
-		if err != nil || k.hold <= 0 {
-			return knobs{}, fmt.Errorf("bad hold duration %q", h)
-		}
+	q := r.URL.Query()
+	if q.Has("hold") {
+		// The retired raw-stop knob is refused, not ignored: ignoring it
+		// would turn an old client's 50ms request into a run to precision.
+		return knobs{}, errors.New("the hold knob is gone: use deadline (e.g. deadline=50ms), which always delivers the best published snapshot")
 	}
-	if d := r.URL.Query().Get("deadline"); d != "" {
+	if d := q.Get("deadline"); d != "" {
 		k.deadline, err = time.ParseDuration(d)
 		if err != nil || k.deadline <= 0 {
 			return knobs{}, fmt.Errorf("bad deadline %q", d)
 		}
+		if k.deadline > knobCap {
+			return knobs{}, fmt.Errorf("deadline capped at %v", knobCap)
+		}
 	}
-	if a := r.URL.Query().Get("accept"); a != "" {
+	if a := q.Get("accept"); a != "" {
 		k.accept, err = strconv.ParseFloat(a, 64)
 		if err != nil || k.accept <= 0 {
 			return knobs{}, fmt.Errorf("bad accept threshold %q", a)
 		}
-	}
-	set := 0
-	for _, on := range []bool{k.hold > 0, k.deadline > 0, k.accept > 0} {
-		if on {
-			set++
-		}
-	}
-	if set > 1 {
-		return knobs{}, fmt.Errorf("hold, deadline and accept are mutually exclusive")
-	}
-	if k.hold > knobCap || k.deadline > knobCap {
-		return knobs{}, fmt.Errorf("hold and deadline capped at %v", knobCap)
 	}
 	if k.budget, k.budgetSet, err = serve.ParseBudget(r.Header.Get(serve.BudgetHeader)); err != nil {
 		return knobs{}, err

@@ -5,88 +5,46 @@ import (
 	"net/http"
 	"time"
 
-	"anytime/internal/apps/conv2d"
-	"anytime/internal/apps/kmeans"
 	"anytime/internal/core"
 	"anytime/internal/metrics"
 	"anytime/internal/pix"
-	"anytime/internal/telemetry"
 )
 
-// registerStreams adds the Server-Sent Events endpoints: the client watches
-// the whole-application output quality rise live, one event per published
-// version, and decides for itself when to stop listening — the
-// hold-the-power-button interaction with the button on the client side.
-//
-// Streams build fresh automata rather than drawing from the warm pools: a
-// stream holds its automaton for the client's whole attention span, so
-// construction cost is noise, and keeping them out of the pools means a
-// few long-lived stream watchers cannot starve the request path's warm
-// instances. They do share the admission queue — a stream occupies an
-// execution slot like any request.
-func (s *Server) registerStreams() {
-	s.handle("GET /blur/stream", s.handleStream(func() (*core.Automaton, *core.Buffer[*pix.Image], *pix.Image, error) {
-		run, err := conv2d.New(s.grayIn, conv2d.Config{Workers: s.workers})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return run.Automaton, run.Out, s.blurRef, nil
-	}))
-	s.handle("GET /cluster/stream", s.handleStream(func() (*core.Automaton, *core.Buffer[*pix.Image], *pix.Image, error) {
-		run, err := kmeans.New(s.rgbIn, kmeans.Config{Workers: s.workers})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return run.Automaton, run.Out, s.kmRef, nil
-	}))
-}
-
-// handleStream emits one SSE event per published output version:
+// sseStream is the Server-Sent Events side of handleApp (/blur/stream,
+// /cluster/stream): the client watches the whole-application output
+// quality rise live, one event per version the run observes, and decides
+// for itself when to stop listening — the hold-the-power-button
+// interaction with the button on the client side. A stream is otherwise an
+// ordinary request: it takes an execution slot and a warm pool entry,
+// honours the same knobs, and is traced to /debug/requests.
 //
 //	data: {"version":3,"final":false,"snr_db":"24.18","elapsed_ms":12}
 //
-// The stream ends at the final (precise) version; closing the request
-// stops the automaton.
-func (s *Server) handleStream(build func() (*core.Automaton, *core.Buffer[*pix.Image], *pix.Image, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		flusher, ok := w.(http.Flusher)
-		if !ok {
-			http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-			return
-		}
-		release, ok := s.admit(r)
-		if !ok {
-			http.Error(w, "server at capacity", http.StatusServiceUnavailable)
-			return
-		}
-		defer release()
-		a, out, ref, err := build()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		// Fresh (unpooled) automaton: attaching the observer per request
-		// cannot pile up, the buffer dies with the stream.
-		a.SetHooks(s.hooks)
-		telemetry.ObserveBuffer(s.reg, out)
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
+// The last event is the delivered snapshot: the final (precise) version
+// unless a knob ended the run early. Closing the request stops the
+// automaton.
+type sseStream struct {
+	w     http.ResponseWriter
+	start time.Time
+	last  core.Version
+}
 
-		sub := out.Subscribe(r.Context())
-		start := time.Now()
-		if err := a.Start(r.Context()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		defer a.Stop()
-		for snap := range sub {
-			db, err := metrics.SNR(ref.Pix, snap.Value.Pix)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "data: {\"version\":%d,\"final\":%v,\"snr_db\":%q,\"elapsed_ms\":%d}\n\n",
-				snap.Version, snap.Final, metrics.FormatDB(db), time.Since(start).Milliseconds())
-			flusher.Flush()
-		}
+func newSSE(w http.ResponseWriter, start time.Time) *sseStream {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	return &sseStream{w: w, start: start}
+}
+
+// send emits snap as an event unless it is the version last sent. A nil
+// stream sends nothing.
+func (e *sseStream) send(snap core.Snapshot[*pix.Image], db float64) {
+	if e == nil || snap.Version == e.last {
+		return
+	}
+	e.last = snap.Version
+	fmt.Fprintf(e.w, "data: {\"version\":%d,\"final\":%v,\"snr_db\":%q,\"elapsed_ms\":%d}\n\n",
+		snap.Version, snap.Final, metrics.FormatDB(db), time.Since(e.start).Milliseconds())
+	if f, ok := e.w.(http.Flusher); ok {
+		f.Flush()
 	}
 }

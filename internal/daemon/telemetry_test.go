@@ -29,9 +29,34 @@ func counterValue(t *testing.T, body, series string) int64 {
 	return v
 }
 
+// seriesSum adds up every sample of one counter family across its label
+// sets, or -1 if the family has no samples.
+func seriesSum(t *testing.T, body, family string) int64 {
+	t.Helper()
+	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(family) + `(?:\{[^}]*\})? (\d+)$`)
+	matches := re.FindAllStringSubmatch(body, -1)
+	if matches == nil {
+		return -1
+	}
+	var sum int64
+	for _, m := range matches {
+		v, err := strconv.ParseInt(m[1], 10, 64)
+		if err != nil {
+			t.Fatalf("family %s: %v", family, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestMetricsExpositionReflectsTraffic: one pipeline request brings up the
+// acceptance-criteria families, and a second moves the counters. The run
+// counter is summed over its outcome labels: a 3ms deadline on a 64×64
+// image may finish precise or be stopped, but either way it is exactly one
+// more run.
 func TestMetricsExpositionReflectsTraffic(t *testing.T) {
 	s := testServer(t)
-	if rec := get(t, s, "/blur?hold=3ms"); rec.Code != http.StatusOK {
+	if rec := get(t, s, "/blur?deadline=3ms"); rec.Code != http.StatusOK {
 		t.Fatalf("blur: %d", rec.Code)
 	}
 	rec := get(t, s, "/metrics")
@@ -60,10 +85,13 @@ func TestMetricsExpositionReflectsTraffic(t *testing.T) {
 		t.Fatalf("blur request counter = %d after one request\n%s", requests, body)
 	}
 	publishes := counterValue(t, body, `anytime_buffer_publish_total{buffer="conv2d"}`)
-	runs := counterValue(t, body, `anytime_automaton_runs_total{outcome="stopped"}`)
+	runs := seriesSum(t, body, "anytime_automaton_runs_total")
+	if runs != 1 {
+		t.Fatalf("run counter = %d after one request, want 1", runs)
+	}
 
 	// Values must change across requests.
-	if rec := get(t, s, "/blur?hold=3ms"); rec.Code != http.StatusOK {
+	if rec := get(t, s, "/blur?deadline=3ms"); rec.Code != http.StatusOK {
 		t.Fatalf("second blur: %d", rec.Code)
 	}
 	body2 := get(t, s, "/metrics").Body.String()
@@ -73,10 +101,8 @@ func TestMetricsExpositionReflectsTraffic(t *testing.T) {
 	if got := counterValue(t, body2, `anytime_buffer_publish_total{buffer="conv2d"}`); got <= publishes {
 		t.Errorf("publish counter did not grow: %d -> %d", publishes, got)
 	}
-	if runs >= 0 {
-		if got := counterValue(t, body2, `anytime_automaton_runs_total{outcome="stopped"}`); got <= runs {
-			t.Errorf("run counter did not grow: %d -> %d", runs, got)
-		}
+	if got := seriesSum(t, body2, "anytime_automaton_runs_total"); got != runs+1 {
+		t.Errorf("run counter %d -> %d, want +1", runs, got)
 	}
 }
 
@@ -86,7 +112,7 @@ func TestHealthzAndExpvar(t *testing.T) {
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ok") {
 		t.Errorf("healthz: %d %q", rec.Code, rec.Body.String())
 	}
-	if rec := get(t, s, "/blur?hold=2ms"); rec.Code != http.StatusOK {
+	if rec := get(t, s, "/blur?deadline=2ms"); rec.Code != http.StatusOK {
 		t.Fatalf("blur: %d", rec.Code)
 	}
 	rec = get(t, s, "/debug/vars")
@@ -112,7 +138,7 @@ func TestPprofGatedByFlag(t *testing.T) {
 	}
 }
 
-// TestQueueBoundsConcurrentAutomata fires a burst of held requests well
+// TestQueueBoundsConcurrentAutomata fires a burst of deadline requests well
 // past the 8 slots and asserts the slots-in-use gauge (which mirrors the
 // admission queue's occupancy) never exceeds the bound while every request
 // still succeeds.
@@ -145,7 +171,7 @@ func TestQueueBoundsConcurrentAutomata(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = get(t, s, "/blur?hold=10ms").Code
+			codes[i] = get(t, s, "/blur?deadline=10ms").Code
 		}(i)
 	}
 	wg.Wait()
@@ -153,10 +179,9 @@ func TestQueueBoundsConcurrentAutomata(t *testing.T) {
 	poll.Wait()
 
 	for i, code := range codes {
-		// 504 is legitimate under contention: the hold elapsed before the
-		// queued automaton's first publish. The invariant under test is the
-		// concurrency bound, not publish latency.
-		if code != http.StatusOK && code != http.StatusGatewayTimeout {
+		// The deadline contract never returns empty-handed, even when the
+		// deadline elapses before a queued automaton's first publish.
+		if code != http.StatusOK {
 			t.Errorf("request %d: status %d", i, code)
 		}
 	}
@@ -217,8 +242,8 @@ func TestMetricsScrapeIsValidExposition(t *testing.T) {
 	s := testServer(t)
 	// Touch every subsystem: pipeline + pools (app request), the deadline
 	// path (delivered-accuracy histogram), streams, and the flight recorder.
-	for _, path := range []string{"/blur?hold=3ms", "/blur?deadline=1us", "/blur", "/blur/stream"} {
-		if rec := get(t, s, path); rec.Code != http.StatusOK && rec.Code != http.StatusGatewayTimeout {
+	for _, path := range []string{"/blur?deadline=3ms", "/blur?deadline=1us", "/blur", "/blur/stream"} {
+		if rec := get(t, s, path); rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d", path, rec.Code)
 		}
 	}

@@ -100,13 +100,14 @@ func ExampleRun() {
 	// 1s deadline: value 30, final true, interrupted false
 }
 
-// ExampleRunUntil shows the acceptance contract: the run stops at the
-// first snapshot the predicate admits, not at full precision. Output
+// ExampleRun_accept shows the acceptance stop condition: with an accept
+// predicate, the run stops at the first snapshot it admits, not at full
+// precision (a deadline, when also given, still bounds the run). Output
 // buffers are latest-wins, so a fast pipeline may publish several versions
 // between polls; this example paces the stage off the predicate (each
 // rejection releases the next publish) purely to make the accepted version
 // deterministic for the doc test.
-func ExampleRunUntil() {
+func ExampleRun_accept() {
 	step := make(chan struct{}, 1)
 	step <- struct{}{}
 	out := core.NewBuffer[int]("squares", nil)
@@ -129,14 +130,14 @@ func ExampleRunUntil() {
 		panic(err)
 	}
 	entry := serve.Entry[int]{Automaton: a, Out: out}
-	res, err := serve.RunUntil(context.Background(), entry,
+	res, err := serve.Run(context.Background(), entry, time.Second, nil,
 		func(s core.Snapshot[int]) bool {
 			if s.Value >= 5 {
 				return true
 			}
 			step <- struct{}{}
 			return false
-		}, nil)
+		})
 	if err != nil {
 		panic(err)
 	}

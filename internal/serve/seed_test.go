@@ -185,3 +185,29 @@ func TestPooledSeedAcrossCheckouts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunPredicateSkipsSeed: a warm-start seed is not the run's own work,
+// so the accept predicate never sees it — even one that admits anything
+// delivers a version past the seed.
+func TestRunPredicateSkipsSeed(t *testing.T) {
+	e := seedEntry(t, 3)
+	if err := e.Automaton.SeedFrom(7, 4); err != nil {
+		t.Fatal(err)
+	}
+	var seen []core.Version
+	res, err := Run(context.Background(), e, 0, nil, func(sn core.Snapshot[int]) bool {
+		seen = append(seen, sn.Version)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot.Version <= 4 {
+		t.Fatalf("delivered %+v, want a version past seed 4", res.Snapshot)
+	}
+	for _, v := range seen {
+		if v <= 4 {
+			t.Fatalf("predicate offered version %d, not past seed 4 (saw %v)", v, seen)
+		}
+	}
+}

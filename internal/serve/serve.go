@@ -12,13 +12,14 @@
 //     across requests: check an entry out with Get, run it, check it back
 //     in with Put.
 //
-//   - Run / RunUntil: deadline and acceptance contracts. Run executes a
-//     checked-out automaton and returns the best published snapshot when
-//     the deadline fires — never an error merely because time ran out,
+//   - Run: the serving contract, the paper's two stopping triggers on one
+//     run (§III-A). Run executes a checked-out automaton until its
+//     deadline fires or an optional acceptance predicate admits a
+//     published snapshot, whichever comes first, and returns the best
+//     published snapshot — never an error merely because time ran out,
 //     because an anytime automaton always holds a valid approximation once
-//     its first version is published. RunUntil stops at the first snapshot
-//     an acceptance predicate admits, polling published versions rather
-//     than registering buffer observers (observers are permanent, so a
+//     its first version is published. The predicate sees versions by
+//     polling, not through buffer observers (observers are permanent, so a
 //     pooled buffer must not accumulate per-request callbacks).
 //
 //   - Queue / Controller: admission control. Queue is a bounded FIFO-fair
@@ -36,7 +37,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	rtrace "runtime/trace"
 	"time"
 
@@ -65,115 +65,174 @@ type Entry[T any] struct {
 	Slot *reqtrace.Slot
 }
 
-// Result is the outcome of a Run or RunUntil: the delivered snapshot and
-// how the run ended.
+// Result is the outcome of a Run: the delivered snapshot and how the run
+// ended.
 type Result[T any] struct {
 	// Snapshot is the delivered output. Snapshot.Final reports whether it
 	// is the precise output; Snapshot.Version is its accuracy rank within
 	// the run.
 	Snapshot core.Snapshot[T]
-	// Interrupted reports that the automaton was stopped before reaching
-	// its precise output — the deadline fired or the acceptance predicate
-	// admitted an early snapshot.
+	// Interrupted reports that the delivered snapshot is not the precise
+	// output (!Snapshot.Final): the deadline fired or the acceptance
+	// predicate admitted an early snapshot.
 	Interrupted bool
 	// Elapsed is the wall time from Start to delivery.
 	Elapsed time.Duration
 }
 
-// Run executes a checked-out entry under a deadline contract and returns
-// the best published snapshot available when the contract is met:
+// Run executes a checked-out entry under the serving contract and returns
+// the snapshot it delivers. The run ends at the first of:
 //
-//   - deadline <= 0: run to the precise output and return it (bit-exact
-//     with the app's baseline; the no-knob serving path).
-//   - deadline > 0: let the automaton run until the deadline fires, stop
-//     it, and return the newest published snapshot. If nothing has been
-//     published yet when the deadline fires, Run waits for the first
-//     version instead of failing — an anytime request never times out
-//     empty-handed once admitted.
+//   - the automaton finishing: its precise output is delivered (with
+//     neither a deadline nor a predicate, this is the knob-less path,
+//     bit-exact with the app's baseline);
+//   - deadline > 0 firing: the automaton is stopped and the newest
+//     published snapshot delivered. If nothing has been published yet, Run
+//     waits for the first version instead of failing — an admitted anytime
+//     request never times out empty-handed;
+//   - the optional accept predicate admitting a published snapshot: the
+//     automaton is stopped and that snapshot delivered;
+//   - ctx being cancelled (client disconnect): the automaton is stopped
+//     and ctx.Err() returned.
 //
-// Cancelling ctx (client disconnect) stops the automaton and returns
-// ctx.Err(). A stage failure is returned as an error. The caller owns the
-// entry throughout and must still check it back into its pool afterwards;
-// Run always leaves the automaton stopped or finished, ready for Reset.
-func Run[T any](ctx context.Context, e Entry[T], deadline time.Duration, h *Hooks) (Result[T], error) {
+// accept is optional (at most one predicate; it is variadic so callers
+// without one keep the four-argument form). It runs on the calling
+// goroutine, once per version Run observes. A warm-start seed
+// (core.Buffer.Seed) is not the run's own work and is never offered to it:
+// a delivery the predicate admits is always newer than the seed.
+// Versions are polled (Buffer.Subscribe), not observed through OnPublish,
+// because observers are permanent and a pooled buffer serves many
+// requests; buffers are latest-wins, so a fast pipeline may publish
+// several versions between polls. accept must not retain the snapshot
+// value if the app publishes aliased ring images (pix.SnapshotTiles).
+// Without a predicate (or with a nil one) Run never wakes per version.
+//
+// A stage failure is returned as an error. The caller owns the entry
+// throughout and must still check it back into its pool afterwards; Run
+// always leaves the automaton stopped or finished, ready for Reset.
+func Run[T any](ctx context.Context, e Entry[T], deadline time.Duration, h *Hooks, accept ...func(core.Snapshot[T]) bool) (Result[T], error) {
 	tr := reqtrace.FromContext(ctx)
 	var region *rtrace.Region
 	if tr != nil {
 		region = rtrace.StartRegion(ctx, "anytime.run")
 	}
+	var pred func(core.Snapshot[T]) bool
+	if len(accept) > 0 {
+		pred = accept[0]
+	}
 	start := time.Now()
-	if err := e.Automaton.Start(ctx); err != nil {
-		if region != nil {
-			region.End()
-		}
+	snap, err := await(ctx, e, deadline, pred, tr)
+	if region != nil {
+		region.End()
+	}
+	if err != nil {
 		tr.Error(err.Error())
 		return Result[T]{}, err
 	}
-	tr.RunStart(deadline)
-	done := e.Automaton.Done()
-	interrupted := false
-	if deadline > 0 {
-		timer := time.NewTimer(deadline)
-		select {
-		case <-done:
-		case <-ctx.Done():
-			timer.Stop()
-			e.Automaton.Stop()
-			return runFail[T](tr, region, ctx.Err())
-		case <-timer.C:
-			interrupted = true
-			tr.DeadlineFired(deadline)
-			// Contract: deliver *something*. If the automaton has yet to
-			// publish its first version, wait for it (bounded by the
-			// client's context) before interrupting.
-			if _, ok := e.Out.Peek(); !ok {
-				if _, err := waitFirst(ctx, e, done); err != nil {
-					timer.Stop()
-					e.Automaton.Stop()
-					return runFail[T](tr, region, err)
-				}
-			}
-		}
-		timer.Stop()
-	} else {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			e.Automaton.Stop()
-			return runFail[T](tr, region, ctx.Err())
-		}
-	}
-	e.Automaton.Stop()
-	if err := e.Automaton.Err(); err != nil && !errors.Is(err, core.ErrStopped) {
-		return runFail[T](tr, region, err)
-	}
-	snap, ok := e.Out.Latest()
-	if !ok {
-		return runFail[T](tr, region, ErrNoOutput)
-	}
-	// A run that finished on its own before the deadline delivered the
-	// precise output; only a fired deadline that truly cut work short is an
-	// interruption.
-	interrupted = interrupted && !snap.Final
-	res := Result[T]{Snapshot: snap, Interrupted: interrupted, Elapsed: time.Since(start)}
+	res := Result[T]{Snapshot: snap, Interrupted: !snap.Final, Elapsed: time.Since(start)}
 	if h != nil && h.Deliver != nil {
-		h.Deliver(interrupted, snap.Final, res.Elapsed)
-	}
-	if region != nil {
-		region.End()
+		h.Deliver(res.Interrupted, snap.Final, res.Elapsed)
 	}
 	tr.RunFinish(runOutcome(e.Automaton.Err()), res.Elapsed)
 	return res, nil
 }
 
-// runFail ends the trace region and records the failure before returning
-// it.
-func runFail[T any](tr *reqtrace.Trace, region *rtrace.Region, err error) (Result[T], error) {
-	if region != nil {
-		region.End()
+// await starts the automaton and blocks until the first of Run's stop
+// conditions, returning the snapshot to deliver with the automaton
+// stopped or finished.
+func await[T any](ctx context.Context, e Entry[T], deadline time.Duration, accept func(core.Snapshot[T]) bool, tr *reqtrace.Trace) (core.Snapshot[T], error) {
+	var none core.Snapshot[T]
+	var seeded core.Version
+	if sn, ok := e.Out.Peek(); ok {
+		seeded = sn.Version
 	}
-	tr.Error(err.Error())
-	return Result[T]{}, err
+	if err := e.Automaton.Start(ctx); err != nil {
+		return none, err
+	}
+	tr.RunStart(deadline)
+	done := e.Automaton.Done()
+	var fired <-chan time.Time
+	if deadline > 0 {
+		timer := time.NewTimer(deadline)
+		defer timer.Stop()
+		fired = timer.C
+	}
+	// versions carries published snapshots only while something needs
+	// them: the predicate, or a deadline that fired before the first
+	// publish. The deadline-only path never subscribes unless it has to.
+	var versions <-chan core.Snapshot[T]
+	var unsubscribe func()
+	defer func() {
+		if unsubscribe != nil {
+			unsubscribe()
+		}
+	}()
+	if accept != nil {
+		versions, unsubscribe = subscribe(ctx, e.Out)
+	}
+	expired := false
+	for {
+		select {
+		case <-done:
+			if err := ctx.Err(); err != nil {
+				return none, err
+			}
+			return latest(e)
+		case <-ctx.Done():
+			e.Automaton.Stop()
+			return none, ctx.Err()
+		case <-fired:
+			tr.DeadlineFired(deadline)
+			if _, ok := e.Out.Peek(); ok {
+				return latest(e)
+			}
+			// Contract: deliver *something*. Wait for the first version,
+			// bounded by the client's context and the automaton's end.
+			expired, fired = true, nil
+			if versions == nil {
+				versions, unsubscribe = subscribe(ctx, e.Out)
+			}
+		case snap, ok := <-versions:
+			switch {
+			case !ok:
+				versions = nil // the subscription ended at the final version; done follows
+			case expired:
+				return latest(e)
+			case snap.Version <= seeded:
+				// The warm-start seed itself: nothing this run refined.
+			case snap.Final || accept(snap):
+				e.Automaton.Stop()
+				return snap, nil
+			}
+		}
+	}
+}
+
+// subscribe polls buf's published versions until the returned stop runs.
+// stop returns only once the poller has exited: a pooled buffer is reused
+// by the next request, so the poller must not outlive the run.
+func subscribe[T any](ctx context.Context, buf *core.Buffer[T]) (<-chan core.Snapshot[T], func()) {
+	subCtx, cancel := context.WithCancel(ctx)
+	versions := buf.Subscribe(subCtx)
+	return versions, func() {
+		cancel()
+		for range versions {
+		}
+	}
+}
+
+// latest stops the automaton and returns its newest published snapshot,
+// or its stage failure.
+func latest[T any](e Entry[T]) (core.Snapshot[T], error) {
+	e.Automaton.Stop()
+	if err := e.Automaton.Err(); err != nil && !errors.Is(err, core.ErrStopped) {
+		return core.Snapshot[T]{}, err
+	}
+	snap, ok := e.Out.Latest()
+	if !ok {
+		return core.Snapshot[T]{}, ErrNoOutput
+	}
+	return snap, nil
 }
 
 // runOutcome folds an automaton's terminal error into the outcome
@@ -187,113 +246,4 @@ func runOutcome(err error) string {
 	default:
 		return "failed"
 	}
-}
-
-// RunUntil executes a checked-out entry until accept admits a published
-// snapshot (or the automaton reaches its precise output, whichever comes
-// first), then stops the automaton and returns that snapshot. It is the
-// pool-safe acceptance knob: snapshots are observed by polling
-// Buffer.WaitNewer, not by registering an OnPublish observer, because
-// observers are permanent and a pooled buffer serves many requests.
-//
-// accept runs on the request goroutine between versions; it must not
-// retain the snapshot value if the app publishes aliased ring images
-// (pix.SnapshotTiles).
-func RunUntil[T any](ctx context.Context, e Entry[T], accept func(core.Snapshot[T]) bool, h *Hooks) (Result[T], error) {
-	if accept == nil {
-		return Result[T]{}, fmt.Errorf("serve: RunUntil requires an accept predicate")
-	}
-	tr := reqtrace.FromContext(ctx)
-	var region *rtrace.Region
-	if tr != nil {
-		region = rtrace.StartRegion(ctx, "anytime.run")
-	}
-	start := time.Now()
-	if err := e.Automaton.Start(ctx); err != nil {
-		if region != nil {
-			region.End()
-		}
-		tr.Error(err.Error())
-		return Result[T]{}, err
-	}
-	tr.RunStart(0)
-	done := e.Automaton.Done()
-	// waitCtx unblocks WaitNewer when the automaton finishes on its own
-	// (clean precise completion or stage failure), not only on client
-	// disconnect.
-	waitCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-done:
-			cancel()
-		case <-waitCtx.Done():
-		}
-	}()
-	var last core.Version
-	for {
-		snap, err := e.Out.WaitNewer(waitCtx, last)
-		if err != nil {
-			e.Automaton.Stop()
-			if ctx.Err() != nil {
-				return runFail[T](tr, region, ctx.Err())
-			}
-			// The automaton finished while we waited: deliver its terminal
-			// output, or its failure.
-			if err := e.Automaton.Err(); err != nil && !errors.Is(err, core.ErrStopped) {
-				return runFail[T](tr, region, err)
-			}
-			final, ok := e.Out.Latest()
-			if !ok {
-				return runFail[T](tr, region, ErrNoOutput)
-			}
-			return deliverTraced(h, tr, region, e.Automaton, final, false, start), nil
-		}
-		last = snap.Version
-		if snap.Final || accept(snap) {
-			e.Automaton.Stop()
-			return deliverTraced(h, tr, region, e.Automaton, snap, !snap.Final, start), nil
-		}
-	}
-}
-
-// waitFirst blocks for the buffer's first published version, giving up if
-// the client disconnects or the automaton dies without publishing.
-func waitFirst[T any](ctx context.Context, e Entry[T], done <-chan struct{}) (core.Snapshot[T], error) {
-	waitCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-done:
-			cancel()
-		case <-waitCtx.Done():
-		}
-	}()
-	snap, err := e.Out.WaitNewer(waitCtx, 0)
-	if err == nil {
-		return snap, nil
-	}
-	if ctx.Err() != nil {
-		return core.Snapshot[T]{}, ctx.Err()
-	}
-	// Automaton finished: it either published on its way out or failed.
-	if snap, ok := e.Out.Peek(); ok {
-		return snap, nil
-	}
-	if aerr := e.Automaton.Err(); aerr != nil && !errors.Is(aerr, core.ErrStopped) {
-		return core.Snapshot[T]{}, aerr
-	}
-	return core.Snapshot[T]{}, ErrNoOutput
-}
-
-func deliverTraced[T any](h *Hooks, tr *reqtrace.Trace, region *rtrace.Region, a *core.Automaton, snap core.Snapshot[T], interrupted bool, start time.Time) Result[T] {
-	res := Result[T]{Snapshot: snap, Interrupted: interrupted, Elapsed: time.Since(start)}
-	if h != nil && h.Deliver != nil {
-		h.Deliver(interrupted, snap.Final, res.Elapsed)
-	}
-	if region != nil {
-		region.End()
-	}
-	tr.RunFinish(runOutcome(a.Err()), res.Elapsed)
-	return res
 }

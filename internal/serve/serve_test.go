@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anytime/internal/core"
+	"anytime/internal/reqtrace"
 )
 
 // pacedEntry builds an automaton publishing versions 1..n, blocking on
@@ -131,16 +132,16 @@ func TestRunStageFailurePropagates(t *testing.T) {
 	}
 }
 
-func TestRunUntilAcceptsEarlySnapshot(t *testing.T) {
+func TestRunAcceptsEarlySnapshot(t *testing.T) {
 	e, step := pacedEntry(5)
 	close(step)
-	res, err := RunUntil(context.Background(), e, func(s core.Snapshot[int]) bool {
+	res, err := Run(context.Background(), e, 0, nil, func(s core.Snapshot[int]) bool {
 		return s.Value >= 2
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot.Value < 2 || !res.Interrupted && !res.Snapshot.Final {
+	if res.Snapshot.Value < 2 || res.Interrupted == res.Snapshot.Final {
 		t.Fatalf("result %+v, want accepted snapshot ≥ 2", res)
 	}
 	// Reusable afterwards: no observers were registered on the pooled
@@ -148,9 +149,9 @@ func TestRunUntilAcceptsEarlySnapshot(t *testing.T) {
 	if err := e.Automaton.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := RunUntil(context.Background(), e, func(s core.Snapshot[int]) bool {
+	res2, err := Run(context.Background(), e, 0, nil, func(s core.Snapshot[int]) bool {
 		return s.Value >= 2
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +160,10 @@ func TestRunUntilAcceptsEarlySnapshot(t *testing.T) {
 	}
 }
 
-func TestRunUntilNeverAcceptedRunsToPrecision(t *testing.T) {
+func TestRunNeverAcceptedRunsToPrecision(t *testing.T) {
 	e, step := pacedEntry(3)
 	close(step)
-	res, err := RunUntil(context.Background(), e, func(core.Snapshot[int]) bool { return false }, nil)
+	res, err := Run(context.Background(), e, 0, nil, func(core.Snapshot[int]) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,23 +172,75 @@ func TestRunUntilNeverAcceptedRunsToPrecision(t *testing.T) {
 	}
 }
 
-func TestRunUntilNilPredicate(t *testing.T) {
-	e, step := pacedEntry(1)
+// TestRunNilPredicateRunsToPrecision: a nil predicate is no predicate —
+// the knob-less contract, not an error.
+func TestRunNilPredicateRunsToPrecision(t *testing.T) {
+	e, step := pacedEntry(2)
 	close(step)
-	if _, err := RunUntil(context.Background(), e, nil, nil); err == nil {
-		t.Fatal("nil predicate accepted")
+	res, err := Run(context.Background(), e, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Snapshot.Final || res.Snapshot.Value != 2 || res.Interrupted {
+		t.Fatalf("result %+v, want precise value 2", res)
 	}
 }
 
-func TestRunUntilClientDisconnect(t *testing.T) {
+func TestRunAcceptClientDisconnect(t *testing.T) {
 	e, _ := pacedEntry(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := RunUntil(ctx, e, func(core.Snapshot[int]) bool { return false }, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("disconnected RunUntil: %v", err)
+	if _, err := Run(ctx, e, 0, nil, func(core.Snapshot[int]) bool { return false }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("disconnected accept run: %v", err)
+	}
+}
+
+// TestRunDeadlineFiresBeforeAccept: with both stop conditions armed, the
+// deadline wins when the predicate never admits in time — the newest
+// published snapshot is delivered, and the trace records the fire.
+func TestRunDeadlineFiresBeforeAccept(t *testing.T) {
+	e, step := pacedEntry(5)
+	go func() { step <- struct{}{} }() // one publish, then stall
+	ctx, tr := reqtrace.New(context.Background(), "paced")
+	var seen []int
+	res, err := Run(ctx, e, 30*time.Millisecond, nil, func(s core.Snapshot[int]) bool {
+		seen = append(seen, s.Value)
+		return s.Value >= 4
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot.Value != 1 || !res.Interrupted {
+		t.Fatalf("result %+v, want interrupted version 1", res)
+	}
+	if len(seen) != 1 || seen[0] != 1 {
+		t.Fatalf("predicate saw %v, want [1]", seen)
+	}
+	fired := false
+	for _, ev := range tr.Events() {
+		fired = fired || ev.Kind == reqtrace.KindDeadline
+	}
+	if !fired {
+		t.Fatal("deadline fire not traced")
+	}
+}
+
+// TestRunAcceptBeforeDeadline: the predicate admits long before a generous
+// deadline, and the admitted snapshot is the one delivered.
+func TestRunAcceptBeforeDeadline(t *testing.T) {
+	e, step := pacedEntry(5)
+	close(step)
+	res, err := Run(context.Background(), e, time.Hour, nil, func(s core.Snapshot[int]) bool {
+		return s.Value >= 2
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot.Value < 2 || res.Interrupted == res.Snapshot.Final {
+		t.Fatalf("result %+v, want accepted snapshot ≥ 2", res)
 	}
 }
 
