@@ -7,10 +7,10 @@ import (
 )
 
 // goroScopes names the packages whose goroutines run on (or under) the
-// request path: the serving tier plus core, whose stage goroutines and
-// round-pool workers every request borrows. A goroutine spawned here
-// without a provable termination edge accumulates once per request — the
-// million-user fleet leaks it a million times.
+// request path: the serving tier plus core, whose stage goroutines every
+// request borrows. A goroutine spawned here without a provable termination
+// edge accumulates once per request — the million-user fleet leaks it a
+// million times.
 var goroScopes = []string{
 	"anytime/internal/serve",
 	"anytime/internal/cluster",
@@ -32,18 +32,15 @@ var goroScopes = []string{
 //     channel or a timer channel (the health-check loop, StopAfter);
 //   - bounded handshake: a loop-free body whose only blocking sends go to
 //     channels created with non-zero capacity in the spawning function
-//     (the hedge race's results channel);
-//   - park protocol: a worker loop whose blocking receives come from a
-//     buffered channel field and whose loop exits on a field-guarded
-//     return (the PR 7 roundPool quit/wake protocol).
+//     (the hedge race's results channel).
 //
 // Everything else is a leak conviction. Goroutines provably terminating by
 // protocol the analyzer cannot see get a justified //lint:ignore.
 var GoroLeakAnalyzer = &Analyzer{
 	Name: "goroleak",
 	Doc: "report request-path goroutines without a provable termination " +
-		"edge (ctx.Done select, WaitGroup join, stop channel, bounded " +
-		"handshake, or park protocol)",
+		"edge (ctx.Done select, WaitGroup join, stop channel, or bounded " +
+		"handshake)",
 	Run: runGoroLeak,
 }
 
@@ -53,22 +50,16 @@ func runGoroLeak(pass *Pass) (interface{}, error) {
 	}
 	info := pass.TypesInfo
 
-	// Package-wide context: which WaitGroup objects are ever Waited on,
-	// and which channel-typed struct fields are ever assigned a buffered
-	// make (the park protocol's wake channels).
+	// Package-wide context: which WaitGroup objects are ever Waited on.
 	waited := make(map[types.Object]bool)
-	bufferedFields := make(map[types.Object]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if fn := calleeMethod(info, n); fn != nil && fn.Name() == "Wait" && isWaitGroupMethod(fn) {
-					if obj := receiverObject(info, n); obj != nil {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := calleeMethod(info, call); fn != nil && fn.Name() == "Wait" && isWaitGroupMethod(fn) {
+					if obj := receiverObject(info, call); obj != nil {
 						waited[obj] = true
 					}
 				}
-			case *ast.AssignStmt:
-				recordBufferedFieldMakes(info, n, bufferedFields)
 			}
 			return true
 		})
@@ -83,7 +74,7 @@ func runGoroLeak(pass *Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			checkGoStmt(pass, g, waited, bufferedFields)
+			checkGoStmt(pass, g, waited)
 			return true
 		})
 	}
@@ -104,36 +95,6 @@ func isWaitGroupMethod(fn *types.Func) bool {
 	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
 }
 
-// recordBufferedFieldMakes notes struct-field channels assigned a
-// `make(chan T, n)` with n > 0 — the wake channels a parked worker may
-// safely block on, because the protocol guarantees a token.
-func recordBufferedFieldMakes(info *types.Info, assign *ast.AssignStmt, out map[types.Object]bool) {
-	if len(assign.Lhs) != len(assign.Rhs) {
-		return
-	}
-	for i, lhs := range assign.Lhs {
-		call, ok := ast.Unparen(assign.Rhs[i]).(*ast.CallExpr)
-		if !ok || len(call.Args) < 2 {
-			continue
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "make" {
-			continue
-		}
-		if !isPositiveConst(info, call.Args[1]) {
-			continue
-		}
-		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-			if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-				out[s.Obj()] = true
-			}
-		}
-	}
-}
-
 func isPositiveConst(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	if !ok || tv.Value == nil {
@@ -151,14 +112,13 @@ type spawnSite struct {
 	body *ast.BlockStmt
 	// encl is the function declaration containing the go statement.
 	encl *ast.FuncDecl
-	// waited / bufferedFields: package-wide context.
-	waited         map[types.Object]bool
-	bufferedFields map[types.Object]bool
+	// waited: the package-wide set of WaitGroups that are Waited on.
+	waited map[types.Object]bool
 }
 
-func checkGoStmt(pass *Pass, g *ast.GoStmt, waited, bufferedFields map[types.Object]bool) {
+func checkGoStmt(pass *Pass, g *ast.GoStmt, waited map[types.Object]bool) {
 	info := pass.TypesInfo
-	site := spawnSite{pass: pass, g: g, waited: waited, bufferedFields: bufferedFields, encl: enclosingDecl(pass, g)}
+	site := spawnSite{pass: pass, g: g, waited: waited, encl: enclosingDecl(pass, g)}
 	switch fun := ast.Unparen(g.Call.Fun).(type) {
 	case *ast.FuncLit:
 		site.body = fun.Body
@@ -183,7 +143,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt, waited, bufferedFields map[types.Obj
 	}
 	if reason := site.terminates(); reason == "" {
 		pass.Reportf(g.Pos(),
-			"fire-and-forget goroutine: no provable termination edge (want a ctx.Done select, a WaitGroup joined in this package, a stop-channel select, a bounded channel handshake, or the round-pool park protocol)")
+			"fire-and-forget goroutine: no provable termination edge (want a ctx.Done select, a WaitGroup joined in this package, a stop-channel select, or a bounded channel handshake)")
 	}
 }
 
@@ -198,9 +158,6 @@ func (s *spawnSite) terminates() string {
 	}
 	if s.stopChannel() {
 		return "stopchan"
-	}
-	if s.parkProtocol() {
-		return "park"
 	}
 	if s.ctxBoundedLoops() {
 		return "ctxcall"
@@ -289,41 +246,6 @@ func (s *spawnSite) stopChannel() bool {
 		return !found
 	})
 	return found
-}
-
-// parkProtocol: every blocking receive in the body reads a buffered
-// channel stored in a struct field (the wake token), and the body's loop
-// has a field-guarded return (the quit flag) — the roundPool worker shape.
-func (s *spawnSite) parkProtocol() bool {
-	info := s.pass.TypesInfo
-	receives := 0
-	fieldReceives := 0
-	guardedReturn := false
-	ast.Inspect(s.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.UnaryExpr:
-			if n.Op != token.ARROW {
-				return true
-			}
-			receives++
-			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-				if s2, ok := info.Selections[sel]; ok && s2.Kind() == types.FieldVal && s.bufferedFields[s2.Obj()] {
-					fieldReceives++
-				}
-			}
-		case *ast.IfStmt:
-			if !refersToField(info, n.Cond) {
-				return true
-			}
-			for _, st := range n.Body.List {
-				if _, ok := st.(*ast.ReturnStmt); ok {
-					guardedReturn = true
-				}
-			}
-		}
-		return true
-	})
-	return guardedReturn && receives > 0 && receives == fieldReceives
 }
 
 // ctxBoundedLoops: every for loop in the body makes a call that receives a
@@ -443,20 +365,6 @@ func (s *spawnSite) boundedHandshake() bool {
 		return ok
 	})
 	return ok
-}
-
-// refersToField reports whether e mentions a struct-field selection.
-func refersToField(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 func isEmptyStruct(t types.Type) bool {

@@ -101,36 +101,6 @@ func timerOnly() {
 	}()
 }
 
-// pool reproduces the round-pool park protocol: workers block only on a
-// buffered wake channel stored in a field, and exit on a field-guarded
-// return.
-type poolWorker struct {
-	wake chan struct{}
-	quit bool
-}
-
-type pool struct {
-	workers []poolWorker
-}
-
-func newPool(n int) *pool {
-	p := &pool{workers: make([]poolWorker, n)}
-	for i := range p.workers {
-		p.workers[i].wake = make(chan struct{}, 1)
-		go p.run(&p.workers[i]) // ok: park protocol
-	}
-	return p
-}
-
-func (p *pool) run(w *poolWorker) {
-	for {
-		<-w.wake
-		if w.quit {
-			return
-		}
-	}
-}
-
 // ctxLoop terminates because every loop iteration passes ctx to a callee
 // that can fail when the context ends, and the body returns on error.
 func ctxLoop(ctx context.Context, wait func(context.Context) error) {

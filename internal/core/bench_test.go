@@ -104,11 +104,10 @@ func benchDiffusive(b *testing.B, workers int, batch bool) {
 	}
 }
 
-// The worker sweep: before the persistent round pool and contiguous spans,
-// 4W ran *slower* than 1W (the strided division sent every worker's writes
-// through shared cache lines, and each round paid a fresh goroutine spawn
-// per worker); the sweep pins that workers now scale at serving-path sizes
-// instead of inverting.
+// The worker sweep: NW splits each round into N spans run in order on the
+// stage goroutine, so every row should cost what 1W costs and allocate the
+// same. A gap means per-span or per-round overhead, such as a goroutine
+// per round, which once made 4W slower than 1W.
 func BenchmarkDiffusivePerUpdate(b *testing.B)      { benchDiffusive(b, 1, false) }
 func BenchmarkDiffusivePerUpdate2W(b *testing.B)    { benchDiffusive(b, 2, false) }
 func BenchmarkDiffusivePerUpdate4W(b *testing.B)    { benchDiffusive(b, 4, false) }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -80,10 +78,11 @@ type RoundConfig struct {
 	// approximate outputs become visible. Zero selects total/32 (at least
 	// 1).
 	Granularity int
-	// Workers is the number of goroutines applying updates within a round
-	// (the multi-threaded sampling of §IV-C1). Zero selects 1. When
-	// Workers > 1, apply must be safe for concurrent calls with distinct
-	// positions.
+	// Workers is the number of worker spans each round is partitioned
+	// into (the multi-threaded sampling of §IV-C1). Zero selects 1. The
+	// spans run in worker order on the stage goroutine: Workers decides
+	// which worker index apply sees for a position, not how many
+	// goroutines run.
 	Workers int
 	// Policy selects when round snapshots are constructed and published.
 	// The zero value is PublishEveryRound.
@@ -124,11 +123,11 @@ func (cfg RoundConfig) withDefaults(total int) (RoundConfig, error) {
 // precise output after the last.
 //
 // apply(pos) performs update step pos (0 <= pos < total); positions are
-// executed exactly once, in rounds of Granularity consecutive positions
-// striped across Workers goroutines. snapshot(processed) is called with no
-// apply running and returns the value to publish after the first
-// `processed` updates — typically a clone, possibly weighted/normalized for
-// non-idempotent reductions (§III-B2).
+// executed exactly once, in ascending order, in rounds of Granularity
+// consecutive positions split into Workers spans. snapshot(processed) is
+// called with no apply running and returns the value to publish after the
+// first `processed` updates — typically a clone, possibly
+// weighted/normalized for non-idempotent reductions (§III-B2).
 func Diffusive[T any](c *Context, out *Buffer[T], total int, apply func(pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig) error {
 	return DiffusiveWorkers(c, out, total,
 		func(worker, pos int) error { return apply(pos) },
@@ -136,11 +135,11 @@ func Diffusive[T any](c *Context, out *Buffer[T], total int, apply func(pos int)
 }
 
 // DiffusiveWorkers is Diffusive with the executing worker's index exposed to
-// apply. Worker indices are in [0, Workers); a given worker runs its updates
-// sequentially on a goroutine that persists for the whole pass, so apply may
-// accumulate into worker-private state — the thread-privatized partials the
-// paper's multi-threaded reductions use (§IV-A2, kmeans) — which snapshot
-// then merges during round quiescence.
+// apply. Worker indices are in [0, Workers); worker w applies the w-th
+// contiguous span of every round, so apply may accumulate into
+// worker-private state — the thread-privatized partials the paper's
+// multi-threaded reductions use (§IV-A2, kmeans) — which snapshot then
+// merges during round quiescence.
 func DiffusiveWorkers[T any](c *Context, out *Buffer[T], total int, apply func(worker, pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig) error {
 	return DiffusivePass(c, out, total, apply, snapshot, cfg, true)
 }
@@ -161,8 +160,8 @@ func DiffusivePass[T any](c *Context, out *Buffer[T], total int, apply func(work
 // (a table lookup, a histogram increment): apply receives a contiguous
 // range [lo, hi) of update positions and iterates it directly, avoiding a
 // function call per update. Each round is split into one contiguous chunk
-// per worker; as with DiffusiveWorkers, a given worker's chunks execute
-// sequentially, so worker-private accumulators are safe.
+// per worker; as with DiffusiveWorkers, worker w always receives the w-th
+// chunk, so worker-private accumulators are safe.
 func DiffusiveBatch[T any](c *Context, out *Buffer[T], total int, apply func(worker, lo, hi int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
 	return diffusiveRun(c, out, total, apply, snapshot, cfg, markFinal)
 }
@@ -186,7 +185,7 @@ const checkpointStride = 4096
 
 // diffusiveRun is the shared round loop of the diffusive stage shapes: it
 // applies rounds of Granularity contiguous positions through run (split
-// across the pass's persistent workers) and publishes snapshots as the
+// into the pass's worker spans) and publishes snapshots as the
 // round config's publish policy dictates. A skipped round's updates are
 // simply covered by the next snapshot that does get built — diffusive
 // updates are cumulative, so every published version reflects all updates
@@ -211,8 +210,6 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 		_, err = out.Publish(v, markFinal)
 		return err
 	}
-	pool := newRoundPool(cfg.Workers, run)
-	defer pool.stop()
 	batchRounds := 1
 	if cfg.Granularity < checkpointStride {
 		batchRounds = (checkpointStride + cfg.Granularity - 1) / cfg.Granularity
@@ -252,7 +249,7 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 				n = total - done
 			}
 			gov.beginApply()
-			if err := pool.apply(done, n); err != nil {
+			if err := applyRound(run, cfg.Workers, done, n); err != nil {
 				return err
 			}
 			gov.endApply()
@@ -374,9 +371,9 @@ func applySpan(worker, lo, hi int, apply func(worker, pos int) error) error {
 
 // spanAlign is the alignment quantum, in update positions, of per-worker
 // span boundaries: 16 positions of an int32-element working buffer is one
-// 64-byte cache line, so workers that write output element `pos` (the
-// sequential order) never split a line — the false-sharing pathology that
-// made multi-worker rounds slower than single-worker ones.
+// 64-byte cache line, so each worker's span covers whole lines. The
+// boundaries decide which worker applies which position, and so every
+// worker-private partial: moving them changes published values.
 const spanAlign = 16
 
 // spanBound returns worker boundary w of n positions split across workers:
@@ -394,206 +391,29 @@ func spanBound(n, w, workers int) int {
 	return b
 }
 
-// spinIters bounds the busy-wait phases of the round pool's handshakes: a
-// worker spins this long for its next span before parking on its wake
-// channel, and the dispatcher spins this long for round completion before
-// parking in wg.Wait. At ~1ns per polling iteration it covers tens of
-// microseconds — enough that back-to-back small rounds (the per-update
-// serving path) never pay a goroutine park/unpark round trip, while a pool
-// idling across an expensive snapshot still parks and frees the CPU. Under
-// the race detector every atomic load is instrumented and ~50× more
-// expensive, so the bound shrinks accordingly (see race_on.go).
-const spinIters = (1 - raceEnabled) << 14 // 16384 normally, 0 (park immediately) under -race
-
-// roundWorker is one persistent worker's slot, padded so that slots on
-// adjacent cache lines never share the hot fields: the dispatcher writes
-// lo/hi/seq each round and the worker writes err/done each round.
-type roundWorker struct {
-	lo, hi int
-	quit   bool
-	err    error
-	seq    atomic.Uint32 // bumped by the dispatcher to hand over lo/hi
-	parked atomic.Bool   // worker is (about to be) blocked on wake
-	wake   chan struct{} // buffered(1) wake token, conflating
-	_      [40]byte
-}
-
-// roundPool executes rounds of a diffusive pass. Workers 1..W-1 are
-// goroutines spawned once for the whole pass; worker 0's span runs inline
-// on the stage goroutine. Compared to spawning W goroutines per round this
-// keeps worker identity stable (worker-private scratch stays on a warm
-// stack and cache), removes the per-round spawn allocations, and leaves
-// the publish path untouched on the stage goroutine — the single-writer
-// discipline anytimevet enforces.
-//
-// Handover is a seq-number handshake with bounded spinning on both sides
-// (see spinIters). Parking is race-free by the usual store/load-check
-// protocol: the worker publishes parked=true and then re-checks seq; the
-// dispatcher publishes seq and then checks parked. Both are sequentially
-// consistent atomics, so at least one side observes the other and either
-// the worker sees the new span or the dispatcher sends a wake token. The
-// token channel is buffered and conflating — a stale token only causes one
-// extra loop of the worker's seq check.
-//
-// Memory ordering: the dispatcher's seq.Add publishing lo/hi
-// happens-before the worker's seq.Load observing it, and the worker's
-// done.Add after its span happens-before the dispatcher's done.Load
-// observing the count, so each round's writes are visible to snapshot()
-// and to the same worker's next round without further synchronization.
-type roundPool struct {
-	run     func(worker, lo, hi int) error
-	n       int           // configured worker count
-	workers []roundWorker // index 0 unused; stage goroutine is worker 0. nil = inline-only pool
-	done    atomic.Int32  // spans completed this round
-	wg      sync.WaitGroup
-}
-
-func newRoundPool(workers int, run func(worker, lo, hi int) error) *roundPool {
-	p := &roundPool{run: run, n: workers}
-	// On a single-P runtime the goroutines could never overlap the stage
-	// goroutine anyway, so don't spawn them at all: every round runs
-	// through applyInline, and the pool costs nothing beyond its struct.
-	if workers <= 1 || runtime.GOMAXPROCS(0) == 1 {
-		return p
-	}
-	p.workers = make([]roundWorker, workers)
-	for w := 1; w < workers; w++ {
-		p.workers[w].wake = make(chan struct{}, 1)
-		go p.worker(w)
-	}
-	return p
-}
-
-func (p *roundPool) worker(w int) {
-	slot := &p.workers[w]
-	seen := uint32(0)
-	// Park immediately while waiting for the first dispatch — it may never
-	// come (small totals dispatch fewer workers). Spinning only pays
-	// between back-to-back rounds, so the budget turns on after the first
-	// completed span.
-	budget := 0
-	for {
-		// Spin for the next dispatch, yielding periodically so a
-		// saturated scheduler can still make progress under GOMAXPROCS
-		// oversubscription.
-		for i := 0; slot.seq.Load() == seen; i++ {
-			if i >= budget {
-				slot.parked.Store(true)
-				if slot.seq.Load() == seen {
-					<-slot.wake
-				}
-				slot.parked.Store(false)
-				i = 0
-				continue
-			}
-			if i&1023 == 1023 {
-				runtime.Gosched()
-			}
-		}
-		seen = slot.seq.Load()
-		if slot.quit {
-			return
-		}
-		slot.err = p.run(w, slot.lo, slot.hi)
-		p.done.Add(1)
-		p.wg.Done()
-		budget = spinIters
-	}
-}
-
-// dispatch hands span [lo, hi) to worker w and wakes it if it parked.
-func (p *roundPool) dispatch(w, lo, hi int) {
-	slot := &p.workers[w]
-	slot.lo, slot.hi = lo, hi
-	slot.seq.Add(1)
-	if slot.parked.Load() {
-		select {
-		case slot.wake <- struct{}{}:
-		default: // a token is already pending; it conflates
-		}
-	}
-}
-
-// apply executes one round over positions [start, start+n).
-func (p *roundPool) apply(start, n int) error {
-	workers := p.n
+// applyRound executes one round over positions [start, start+n) on the
+// stage goroutine. The round is split into one span per worker (spanBound)
+// and the spans run in worker order, so worker w applies the share of
+// every round that the §IV-C1 partition among workers gives it.
+// Parallelism comes from the §III-C pipeline, whose stages run on
+// goroutines of their own; a round adds none.
+func applyRound(run func(worker, lo, hi int) error, workers, start, n int) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		return p.run(0, start, start+n)
+		return run(0, start, start+n)
 	}
-	if p.workers == nil || runtime.GOMAXPROCS(0) == 1 {
-		return p.applyInline(start, n, workers)
-	}
-	p.done.Store(0)
-	hi0 := spanBound(n, 1, workers)
-	dispatched := int32(0)
-	for w := 1; w < workers; w++ {
-		lo := spanBound(n, w, workers)
-		hi := spanBound(n, w+1, workers)
-		if lo >= hi {
-			continue
-		}
-		dispatched++
-		p.wg.Add(1)
-		p.dispatch(w, start+lo, start+hi)
-	}
-	var err0 error
-	if hi0 > 0 {
-		err0 = p.run(0, start, start+hi0)
-	}
-	// Spin for completion (the workers finish at about the same time as
-	// the inline span), then fall back to a real wait. The WaitGroup is
-	// kept balanced either way: workers always call Done, and Wait on a
-	// drained group returns immediately.
-	for i := 0; p.done.Load() != dispatched; i++ {
-		if i >= spinIters {
-			break
-		}
-		if i&1023 == 1023 {
-			runtime.Gosched()
-		}
-	}
-	p.wg.Wait()
-	if err0 != nil {
-		return err0
-	}
-	for w := 1; w < workers; w++ {
-		if err := p.workers[w].err; err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyInline runs every worker's span sequentially on the stage
-// goroutine, keeping the same worker-index-to-span mapping as the parallel
-// path so worker-private partials end up in the same cells either way.
-// With a single scheduler P there is no parallelism to win: handing spans
-// to pool goroutines costs scheduler round-trips per round and can overlap
-// nothing, which is exactly the configuration where multi-worker rounds
-// used to run slower than single-worker ones.
-func (p *roundPool) applyInline(start, n, workers int) error {
 	for w := 0; w < workers; w++ {
 		lo, hi := spanBound(n, w, workers), spanBound(n, w+1, workers)
 		if lo >= hi {
 			continue
 		}
-		if err := p.run(w, start+lo, start+hi); err != nil {
+		if err := run(w, start+lo, start+hi); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// stop releases the pool's goroutines. It must be called with no round in
-// flight; spans dispatched before stop have completed (apply waits).
-func (p *roundPool) stop() {
-	for w := 1; w < len(p.workers); w++ {
-		p.workers[w].quit = true
-		p.dispatch(w, 0, 0)
-	}
 }
 
 // AsyncConsume implements the child side of an asynchronous pipeline edge:

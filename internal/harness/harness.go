@@ -208,11 +208,17 @@ func RunToCompletion(a *core.Automaton) (time.Duration, error) {
 }
 
 // RunUntil starts the automaton, stops it after d (unless it finishes
-// first), and returns the latest output snapshot — the paper's
-// halt-and-evaluate methodology for Figures 16–18. If the deadline lands
-// before the automaton's first publish, RunUntil waits for that first
+// first), and returns the output snapshot current at the halt — the
+// paper's halt-and-evaluate methodology for Figures 16–18. If the deadline
+// lands before the automaton's first publish, RunUntil waits for that first
 // snapshot: the earliest valid halt point of an anytime computation is its
 // first available output.
+//
+// The snapshot is taken before Stop, not after it: a stage finishes the
+// round it is in before it observes the stop, and that round's publish
+// lands after the halt, so it is not part of the halted output. A
+// tile-ring snapshot taken here stays valid, since a stopping stage
+// publishes at most once more and the ring is deeper than that.
 func RunUntil(a *core.Automaton, out *core.Buffer[*pix.Image], d time.Duration) (core.Snapshot[*pix.Image], error) {
 	if err := a.Start(context.Background()); err != nil {
 		return core.Snapshot[*pix.Image]{}, err
@@ -233,8 +239,8 @@ func RunUntil(a *core.Automaton, out *core.Buffer[*pix.Image], d time.Duration) 
 		_, _ = out.WaitNewer(ctx, 0)
 		cancel()
 	}
-	a.Stop()
 	snap, ok := out.Latest()
+	a.Stop()
 	if !ok {
 		return snap, fmt.Errorf("harness: automaton finished without publishing any output (halt after %v)", d)
 	}
