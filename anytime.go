@@ -127,16 +127,10 @@ func Diffusive[T any](c *Context, out *Buffer[T], total int, apply func(pos int)
 	return core.Diffusive(c, out, total, apply, snapshot, cfg)
 }
 
-// DiffusiveWorkers is Diffusive with the executing worker's index exposed
-// to apply, for worker-private accumulators (§IV-C1).
-func DiffusiveWorkers[T any](c *Context, out *Buffer[T], total int, apply func(worker, pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig) error {
-	return core.DiffusiveWorkers(c, out, total, apply, snapshot, cfg)
-}
-
-// DiffusivePass is DiffusiveWorkers with caller control over whether the
-// pass's last snapshot is the buffer's final output — required when an
-// anytime child re-runs one pass per consumed parent snapshot.
-func DiffusivePass[T any](c *Context, out *Buffer[T], total int, apply func(worker, pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
+// DiffusivePass is Diffusive with caller control over whether the pass's
+// last snapshot is the buffer's final output — required when an anytime
+// child re-runs one pass per consumed parent snapshot.
+func DiffusivePass[T any](c *Context, out *Buffer[T], total int, apply func(pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
 	return core.DiffusivePass(c, out, total, apply, snapshot, cfg, markFinal)
 }
 

@@ -38,7 +38,7 @@ func TestPublicAPIDiffusiveReduce(t *testing.T) {
 	out := anytime.NewBuffer[int64]("sum", nil)
 	a := anytime.New()
 	if err := a.AddStage("sum", func(c *anytime.Context) error {
-		return anytime.RunReduce(c, sum, out, ord, anytime.RoundConfig{Granularity: n / 8, Workers: 2})
+		return anytime.RunReduce(c, sum, out, ord, anytime.RoundConfig{Granularity: n / 8})
 	}); err != nil {
 		t.Fatal(err)
 	}

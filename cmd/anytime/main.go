@@ -91,7 +91,7 @@ func parseFlags(args []string) (opts, error) {
 	fs := flag.NewFlagSet("anytime", flag.ContinueOnError)
 	fs.StringVar(&o.app, "app", "conv2d", "application: conv2d, histeq, dwt53, debayer, kmeans")
 	fs.IntVar(&o.size, "size", 512, "synthetic input side length")
-	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "worker spans per diffusive round (run in order on the stage goroutine) and goroutines per parallel pass")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "goroutines per parallel pass (the precise baselines and dwt53's transform); each diffusive stage runs on one goroutine")
 	fs.Uint64Var(&o.seed, "seed", 1, "synthetic input seed")
 	fs.Float64Var(&o.halt, "halt", 1.0, "halt after this fraction of the baseline runtime (>=1 runs to precise)")
 	fs.Float64Var(&o.accept, "accept", 0, "stop automatically once output SNR reaches this many dB (0 disables)")
@@ -191,11 +191,11 @@ func run(o opts) error {
 		return err
 	}
 	fmt.Printf("baseline precise runtime: %v\n", baseline)
+	if rec != nil {
+		rec.Begin() // collects garbage first, so it precedes tr.Start
+	}
 	if tr != nil {
 		tr.Start()
-	}
-	if rec != nil {
-		rec.Begin()
 	}
 	// The trace starts here, not at attach time, so its offsets measure the
 	// anytime run alone — not the baseline timing runs above.

@@ -79,7 +79,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	size := flag.Int("size", 256, "synthetic image side length")
-	workers := flag.Int("workers", 2, "worker spans per diffusive round, run in order on the stage goroutine")
+	workers := flag.Int("workers", 2, "goroutines per precise-baseline pass; each diffusive stage runs on one goroutine")
 	slots := flag.Int("slots", 8, "automata running concurrently (pool capacity per route)")
 	queueLen := flag.Int("queue", 32, "requests waiting for a slot before rejection (-1 = none)")
 	warm := flag.Int("warm", 1, "automata prebuilt per route pool at startup")

@@ -57,7 +57,7 @@ func main() {
 	multipliers := flag.String("multipliers", "1,10,100", "comma-separated rate multipliers to sweep")
 	out := flag.String("out", "BENCH_cluster.json", "report output path (- for stdout)")
 	size := flag.Int("size", 64, "selfcluster: backend image side length")
-	workers := flag.Int("workers", 2, "selfcluster: backend workers per stage")
+	workers := flag.Int("workers", 2, "selfcluster: backend goroutines per precise-baseline pass")
 	flag.Parse()
 
 	mults, err := parseMultipliers(*multipliers)

@@ -27,7 +27,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate (all, fig10..fig20)")
 	size := flag.Int("size", 512, "image side length (matrix dimension for fig10)")
-	workers := flag.Int("workers", 4, "workers per parallel stage")
+	workers := flag.Int("workers", 4, "goroutines per parallel pass (the precise baselines and dwt53's transform)")
 	seed := flag.Uint64("seed", 1, "synthetic input seed")
 	reps := flag.Int("reps", 3, "baseline timing repetitions")
 	outdir := flag.String("outdir", "", "directory for figure 16-18 output images (optional)")

@@ -70,7 +70,7 @@ func run(side int, outdir string) error {
 			func(processed int) (*anytime.Image, error) {
 				return anytime.HoldFill(blurWork, blurFilled)
 			},
-			anytime.RoundConfig{Granularity: n / 8, Workers: 2})
+			anytime.RoundConfig{Granularity: n / 8})
 	}); err != nil {
 		return err
 	}
@@ -79,7 +79,7 @@ func run(side int, outdir string) error {
 			// The child is itself anytime: one diffusive pass per consumed
 			// snapshot, final only on the parent's final version.
 			return anytime.DiffusivePass(c, thresholded, n,
-				func(worker, pos int) error {
+				func(pos int) error {
 					dst := ord.At(pos)
 					if s.Value.Pix[dst] > 128 {
 						threshWork.Pix[dst] = 255
@@ -91,7 +91,7 @@ func run(side int, outdir string) error {
 				func(processed int) (*anytime.Image, error) {
 					return threshWork.CloneInto(nil), nil
 				},
-				anytime.RoundConfig{Granularity: n / 4, Workers: 2},
+				anytime.RoundConfig{Granularity: n / 4},
 				s.Final)
 		})
 	}); err != nil {

@@ -73,10 +73,7 @@ func main() {
 
 	a := anytime.New()
 	if err := a.AddStage("hist", func(c *anytime.Context) error {
-		return anytime.RunReduce(c, reduce, out, ord, anytime.RoundConfig{
-			Granularity: n / 4,
-			Workers:     2,
-		})
+		return anytime.RunReduce(c, reduce, out, ord, anytime.RoundConfig{Granularity: n / 4})
 	}); err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func run(acceptDB float64, side int) error {
 			func(processed int) (*anytime.Image, error) {
 				return anytime.HoldFill(working, filled)
 			},
-			anytime.RoundConfig{Granularity: n / 64, Workers: 2})
+			anytime.RoundConfig{Granularity: n / 64})
 	}); err != nil {
 		return err
 	}

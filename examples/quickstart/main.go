@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The reduction: worker-private accumulators, merged and weighted at
+	// The reduction: one accumulator, copied and weighted at
 	// each snapshot.
 	sum := anytime.Reduce[int64]{
 		NewAcc:  func() int64 { return 0 },
@@ -63,7 +63,6 @@ func main() {
 	if err := a.AddStage("sum", func(c *anytime.Context) error {
 		return anytime.RunReduce(c, sum, out, ord, anytime.RoundConfig{
 			Granularity: n / 16, // 16 snapshots
-			Workers:     4,
 		})
 	}); err != nil {
 		log.Fatal(err)

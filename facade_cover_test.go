@@ -98,9 +98,9 @@ func TestFacadeImages(t *testing.T) {
 	}
 }
 
-// TestFacadeMapSampleWorkers exercises the worker-indexed map builder and
-// DiffusiveWorkers through the facade.
-func TestFacadeMapSampleWorkers(t *testing.T) {
+// TestFacadeMapSampleAndDiffusivePass exercises the map builder and
+// DiffusivePass through the facade.
+func TestFacadeMapSampleAndDiffusivePass(t *testing.T) {
 	const n = 512
 	ord, err := anytime.Tree1D(n)
 	if err != nil {
@@ -110,16 +110,10 @@ func TestFacadeMapSampleWorkers(t *testing.T) {
 	seen := make([]int32, n)
 	a := anytime.New()
 	if err := a.AddStage("map", func(c *anytime.Context) error {
-		return anytime.MapSampleWorkers(c, out, ord,
-			func(worker, dst int) error {
-				if worker < 0 || worker >= 4 {
-					t.Errorf("worker index %d out of range", worker)
-				}
-				seen[dst]++
-				return nil
-			},
+		return anytime.MapSample(c, out, ord,
+			func(dst int) error { seen[dst]++; return nil },
 			func(processed int) (int, error) { return processed, nil },
-			anytime.RoundConfig{Granularity: 64, Workers: 4})
+			anytime.RoundConfig{Granularity: 64})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +129,15 @@ func TestFacadeMapSampleWorkers(t *testing.T) {
 		}
 	}
 
-	// DiffusiveWorkers directly.
+	// DiffusivePass directly: a pass that must not finalize its buffer.
 	out2 := anytime.NewBuffer[int]("out2", nil)
 	b := anytime.New()
 	var total int
-	if err := b.AddStage("dw", func(c *anytime.Context) error {
-		return anytime.DiffusiveWorkers(c, out2, 100,
-			func(worker, pos int) error { total++; return nil },
+	if err := b.AddStage("dp", func(c *anytime.Context) error {
+		return anytime.DiffusivePass(c, out2, 100,
+			func(pos int) error { total++; return nil },
 			func(processed int) (int, error) { return processed, nil },
-			anytime.RoundConfig{Granularity: 100})
+			anytime.RoundConfig{Granularity: 100}, false)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +148,10 @@ func TestFacadeMapSampleWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if total != 100 {
-		t.Errorf("DiffusiveWorkers ran %d updates", total)
+		t.Errorf("DiffusivePass ran %d updates", total)
+	}
+	if s, ok := out2.Latest(); !ok || s.Final || s.Value != 100 {
+		t.Errorf("DiffusivePass(markFinal=false) left %+v, %v", s, ok)
 	}
 }
 

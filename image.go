@@ -48,10 +48,10 @@ const (
 // per the selected mode.
 type Snapshotter = pix.Snapshotter
 
-// NewSnapshotter returns a snapshotter over working for the given worker
-// count and snapshot mode.
-func NewSnapshotter(working *Image, workers int, mode SnapshotMode) (*Snapshotter, error) {
-	return pix.NewSnapshotter(working, workers, mode)
+// NewSnapshotter returns a snapshotter over working in the given snapshot
+// mode.
+func NewSnapshotter(working *Image, mode SnapshotMode) (*Snapshotter, error) {
+	return pix.NewSnapshotter(working, mode)
 }
 
 // WritePNMFile encodes an image to a binary PGM (1 channel) or PPM

@@ -19,8 +19,8 @@ import (
 //     another writer).
 //
 // Workers that compute into private state while a coordinator publishes —
-// core's DiffusiveWorkers shape — pass: only the publish sites' goroutine
-// contexts matter.
+// the fan-out/fan-in coordinator shape — pass: only the publish sites'
+// goroutine contexts matter.
 var SingleWriterAnalyzer = &Analyzer{
 	Name: "singlewriter",
 	Doc: "report output buffers published from more than one goroutine " +

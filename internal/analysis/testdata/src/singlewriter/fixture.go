@@ -40,8 +40,8 @@ func loopedSpawn() {
 	}
 }
 
-// coordinatorPattern is core's DiffusiveWorkers shape and must pass:
-// workers compute into private state, only the owner publishes.
+// coordinatorPattern is the fan-out/fan-in coordinator shape and must
+// pass: workers compute into private state, only the owner publishes.
 func coordinatorPattern() {
 	buf := &Buffer[int]{}
 	results := make(chan int, 4)

@@ -43,7 +43,8 @@ type Config struct {
 	// PixelBits is the input pixel precision in bits (1..8). Pixels are
 	// reduced with KeepTop before the convolution. Default 8 (precise).
 	PixelBits uint
-	// Workers is the number of sampling workers. Default 1.
+	// Workers is the number of goroutines the precise baseline splits its
+	// rows across. Default 1. The automaton's stage runs on one goroutine.
 	Workers int
 	// Granularity is the number of output pixels computed per published
 	// snapshot. Default pixels/32.
@@ -270,7 +271,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
+	snap, err := pix.NewSnapshotter(working, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -278,29 +279,25 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	weights, wsum := kernelWeights(cfg.Kernel, cfg.KernelSize)
 	drop := uint(8 - cfg.PixelBits)
 
-	// One reader per worker: the approximate storage array is stateful and
-	// not concurrency-safe, so each worker reads through a private copy,
-	// modelling per-thread access to its own faulty bank.
-	readers := make([]*reader, cfg.Workers)
-	for w := range readers {
-		readers[w] = &reader{img: in, drop: drop}
-		if cfg.Storage != nil {
-			arr, err := store.NewArray(in.Pix, 8, cfg.Storage.Prob, cfg.Storage.Seed+uint64(w)*0x9E3779B9)
-			if err != nil {
-				return nil, err
-			}
-			readers[w].arr = arr
+	// The approximate storage array is stateful: its fault stream follows
+	// the stage's read sequence, seeded by cfg.Storage.Seed.
+	rd := &reader{img: in, drop: drop}
+	if cfg.Storage != nil {
+		arr, err := store.NewArray(in.Pix, 8, cfg.Storage.Prob, cfg.Storage.Seed)
+		if err != nil {
+			return nil, err
 		}
+		rd.arr = arr
 	}
 
 	out := core.NewBuffer[*pix.Image]("conv2d", nil)
 	a := core.New()
 	err = a.AddStage("convolve", func(c *core.Context) error {
-		return sampling.MapWorkers(c, out, ord,
-			func(worker, dst int) error {
+		return sampling.Map(c, out, ord,
+			func(dst int) error {
 				x, y := dst%in.W, dst/in.W
-				working.SetGray(x, y, convolvePixel(readers[worker], weights, wsum, in.W, in.H, half, x, y))
-				snap.Mark(worker, dst)
+				working.SetGray(x, y, convolvePixel(rd, weights, wsum, in.W, in.H, half, x, y))
+				snap.Mark(dst)
 				return nil
 			},
 			func(processed int) (*pix.Image, error) {
@@ -313,7 +310,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 				}
 				return img, nil
 			},
-			core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish})
+			core.RoundConfig{Granularity: cfg.Granularity, Policy: cfg.Publish})
 	})
 	if err != nil {
 		return nil, err

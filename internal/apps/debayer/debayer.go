@@ -17,7 +17,8 @@ import (
 
 // Config parameterizes the baseline and the automaton.
 type Config struct {
-	// Workers is the number of sampling workers. Default 1.
+	// Workers is the number of goroutines the precise baseline splits its
+	// rows across. Default 1. The automaton's stage runs on one goroutine.
 	Workers int
 	// Granularity is the number of output pixels interpolated per
 	// published snapshot. Default pixels/12 (publishing an RGB snapshot
@@ -230,21 +231,21 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
+	snap, err := pix.NewSnapshotter(working, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
 	out := core.NewBuffer[*pix.Image]("debayer", nil)
 	a := core.New()
 	err = a.AddStage("interpolate", func(c *core.Context) error {
-		return sampling.MapWorkers(c, out, ord,
-			func(worker, dst int) error {
+		return sampling.Map(c, out, ord,
+			func(dst int) error {
 				x, y := dst%in.W, dst/in.W
 				r, g, b := interpolate(in, x, y)
 				working.Set(x, y, 0, r)
 				working.Set(x, y, 1, g)
 				working.Set(x, y, 2, b)
-				snap.Mark(worker, dst)
+				snap.Mark(dst)
 				return nil
 			},
 			func(processed int) (*pix.Image, error) {
@@ -257,7 +258,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 				}
 				return img, nil
 			},
-			core.RoundConfig{Granularity: cfg.Granularity, Workers: cfg.Workers, Policy: cfg.Publish})
+			core.RoundConfig{Granularity: cfg.Granularity, Policy: cfg.Publish})
 	})
 	if err != nil {
 		return nil, err

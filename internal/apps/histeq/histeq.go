@@ -32,8 +32,8 @@ const Bins = 256
 
 // Config parameterizes the baseline and the automaton.
 type Config struct {
-	// Workers is the number of sampling workers per diffusive stage.
-	// Default 1.
+	// Workers is the number of goroutines the precise baseline splits its
+	// rows across. Default 1. Each automaton stage runs on one goroutine.
 	Workers int
 	// HistSnapshots is how many intermediate histogram versions the first
 	// stage publishes. Default 6.
@@ -238,18 +238,15 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	out := core.NewBuffer[*pix.Image]("histeq", nil)
 	a := core.New()
 
-	// Stage 1: diffusive histogram via pseudo-random input sampling, with
-	// thread-privatized partials merged at each snapshot. The per-element
-	// work is one increment, so the batched diffusive runner keeps the
-	// sampling overhead proportionate.
+	// Stage 1: diffusive histogram via pseudo-random input sampling into
+	// one running histogram, copied at each snapshot. The per-element work
+	// is one increment, so the batched diffusive runner keeps the sampling
+	// overhead proportionate.
 	histGran := pixels / cfg.HistSnapshots
 	if histGran < 1 {
 		histGran = 1
 	}
-	partials := make([]*Hist, cfg.Workers)
-	for w := range partials {
-		partials[w] = &Hist{}
-	}
+	hist := &Hist{}
 	// With ReorderInput, position pos of the order reads reordered[pos]
 	// (sequential); otherwise it reads in.Pix[inOrd.At(pos)] (random).
 	// Both visit exactly the same multiset of pixels. The branch between
@@ -265,32 +262,25 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	}
 	if err := a.AddStage("hist", func(c *core.Context) error {
 		return core.DiffusiveBatch(c, histBuf, pixels,
-			func(worker, lo, hi int) error {
-				h := partials[worker]
+			func(lo, hi int) error {
 				if reordered != nil {
 					for _, v := range reordered[lo:hi] {
-						h.Counts[binOf(v)]++
+						hist.Counts[binOf(v)]++
 					}
 				} else {
 					px := in.Pix
 					for pos := lo; pos < hi; pos++ {
-						h.Counts[binOf(px[inOrd.At(pos)])]++
+						hist.Counts[binOf(px[inOrd.At(pos)])]++
 					}
 				}
-				h.Processed += hi - lo
+				hist.Processed += hi - lo
 				return nil
 			},
 			func(processed int) (*Hist, error) {
-				merged := &Hist{}
-				for _, p := range partials {
-					for v := range merged.Counts {
-						merged.Counts[v] += p.Counts[v]
-					}
-					merged.Processed += p.Processed
-				}
-				return merged, nil
+				published := *hist
+				return &published, nil
 			},
-			core.RoundConfig{Granularity: histGran, Workers: cfg.Workers, Policy: cfg.Publish},
+			core.RoundConfig{Granularity: histGran, Policy: cfg.Publish},
 			true)
 	}); err != nil {
 		return nil, err
@@ -323,7 +313,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
+	snap, err := pix.NewSnapshotter(working, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +321,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return core.AsyncConsume(c, lutBuf, func(s core.Snapshot[*LUT]) error {
 			lut := s.Value
 			return core.DiffusiveBatch(c, out, pixels,
-				func(worker, lo, hi int) error {
+				func(lo, hi int) error {
 					// One lookup and one store per pixel: hoist the
 					// table, source, and destination so the loop carries
 					// no pointer chases through lut/working/in.
@@ -340,7 +330,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 					for pos := lo; pos < hi; pos++ {
 						d := outOrd.At(pos)
 						dst[d] = tab[binOf(src[d])]
-						snap.Mark(worker, d)
+						snap.Mark(d)
 					}
 					return nil
 				},
@@ -354,21 +344,19 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 					}
 					return img, nil
 				},
-				core.RoundConfig{Granularity: cfg.ApplyGranularity, Workers: cfg.Workers, Policy: cfg.Publish},
+				core.RoundConfig{Granularity: cfg.ApplyGranularity, Policy: cfg.Publish},
 				s.Final)
 		})
 	}); err != nil {
 		return nil, err
 	}
 	// Warm-pool support. The per-run state of this pipeline is the four
-	// buffers, the apply snapshotter, and — crucially — the worker-private
-	// histogram partials, which live outside the stage function: without
-	// zeroing them a reused automaton would double-count every pixel and
-	// publish a wrong (though well-formed) histogram.
+	// buffers, the apply snapshotter, and — crucially — the running
+	// histogram, which lives outside the stage function: without zeroing it
+	// a reused automaton would double-count every pixel and publish a wrong
+	// (though well-formed) histogram.
 	a.OnReset(func() {
-		for _, p := range partials {
-			*p = Hist{}
-		}
+		*hist = Hist{}
 		snap.Reset()
 		histBuf.Reset()
 		cdfBuf.Reset()

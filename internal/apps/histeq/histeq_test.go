@@ -338,9 +338,8 @@ func TestReorderInputHistogramsMatch(t *testing.T) {
 }
 
 // TestResetReuseBitExact guards the warm-pool hazard specific to this app:
-// the worker-private histogram partials live outside the stage function, so
-// a reused automaton that failed to zero them would double-count every
-// pixel. Three consecutive checkouts must each end bit-exact with Precise.
+// the running histogram lives outside the stage function, so a reused
+// automaton that failed to zero it would double-count every pixel. Three consecutive checkouts must each end bit-exact with Precise.
 func TestResetReuseBitExact(t *testing.T) {
 	in := testImage(t, 32, 32)
 	ref, err := Precise(in, Config{Workers: 2})

@@ -5,11 +5,11 @@
 //
 //  1. cluster — diffusive; samples pixels with a tree permutation, assigns
 //     each to its nearest centroid, colors the output pixel with that
-//     centroid, and accumulates thread-privatized partial centroid sums.
+//     centroid, and accumulates partial centroid sums.
 //     Each Lloyd iteration is one diffusive pass; output snapshots are
 //     published throughout, colored with progressively better centroids.
-//  2. reduce — not anytime; reduces the thread-privatized partials of a
-//     completed pass into the next iteration's centroids.
+//  2. reduce — not anytime; reduces the partial sums of a completed pass
+//     into the next iteration's centroids.
 //
 // After the final reduction the cluster stage runs one more coloring pass
 // with the final centroids, so the automaton's last snapshot is bit-exact
@@ -31,7 +31,8 @@ type Config struct {
 	K int
 	// Iters is the number of Lloyd iterations. Default 8.
 	Iters int
-	// Workers is the number of sampling workers per stage. Default 1.
+	// Workers is the number of goroutines the precise baseline splits its
+	// pixels across. Default 1. Each automaton stage runs on one goroutine.
 	Workers int
 	// ClusterGranularity is the number of pixels sampled per published
 	// output snapshot. Default pixels/2.
@@ -102,14 +103,15 @@ type Model struct {
 }
 
 // Partials is the cluster stage's published output to the reduce stage:
-// the merged per-worker accumulators of one completed pass.
+// the accumulated sums of one completed pass.
 type Partials struct {
 	Sum   [][3]int64
 	Count []int64
 	Iter  int // 1-based Lloyd iteration these partials belong to
 }
 
-// accum is one worker's private partial sums for a pass.
+// accum is the partial sums of a pass (or, in the precise baseline, of one
+// goroutine's share of it).
 type accum struct {
 	sum   [][3]int64
 	count []int64
@@ -290,7 +292,7 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := pix.NewSnapshotter(working, cfg.Workers, cfg.Snapshot)
+	snap, err := pix.NewSnapshotter(working, cfg.Snapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -304,27 +306,20 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		}
 		return img, nil
 	}
-	cfgWorkers := cfg.Workers
 
 	// Stage 1: diffusive clustering + coloring. Each Lloyd iteration is a
-	// pass over the tree-ordered pixels with worker-private partials; the
+	// pass over the tree-ordered pixels accumulating partial sums; the
 	// output pixel is colored with the current centroid at assignment time,
 	// so the whole-application output is available early and improves as
 	// both sampling resolution and centroid quality increase.
 	if err := a.AddStage("cluster", func(c *core.Context) error {
 		cents := initCentroids(in, cfg.K)
-		parts := make([]*accum, cfgWorkers)
-		for w := range parts {
-			parts[w] = newAccum(cfg.K)
-		}
+		acc := newAccum(cfg.K)
 		for t := 1; t <= cfg.Iters; t++ {
-			for _, p := range parts {
-				p.reset()
-			}
+			acc.reset()
 			prev := cents
 			err := core.DiffusiveBatch(c, out, n,
-				func(worker, lo, hi int) error {
-					acc := parts[worker]
+				func(lo, hi int) error {
 					for pos := lo; pos < hi; pos++ {
 						p := ord.At(pos)
 						r, g, b := in.Pix[p*3], in.Pix[p*3+1], in.Pix[p*3+2]
@@ -337,28 +332,20 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 						working.Pix[p*3] = ci[0]
 						working.Pix[p*3+1] = ci[1]
 						working.Pix[p*3+2] = ci[2]
-						snap.Mark(worker, p)
+						snap.Mark(p)
 					}
 					return nil
 				},
 				func(processed int) (*pix.Image, error) { return publishSnapshot() },
-				core.RoundConfig{Granularity: cfg.ClusterGranularity, Workers: cfgWorkers, Policy: cfg.Publish},
+				core.RoundConfig{Granularity: cfg.ClusterGranularity, Policy: cfg.Publish},
 				false)
 			if err != nil {
 				return err
 			}
-			// Hand the completed pass's partials to the reduce stage and
-			// wait for the next iteration's centroids.
-			merged := &Partials{Sum: make([][3]int64, cfg.K), Count: make([]int64, cfg.K), Iter: t}
-			for _, part := range parts {
-				for i := 0; i < cfg.K; i++ {
-					merged.Sum[i][0] += part.sum[i][0]
-					merged.Sum[i][1] += part.sum[i][1]
-					merged.Sum[i][2] += part.sum[i][2]
-					merged.Count[i] += part.count[i]
-				}
-			}
-			if _, err := partialsBuf.Publish(merged, t == cfg.Iters); err != nil {
+			// Hand a copy of the completed pass's sums to the reduce stage
+			// and wait for the next iteration's centroids.
+			sums := &Partials{Sum: append([][3]int64(nil), acc.sum...), Count: append([]int64(nil), acc.count...), Iter: t}
+			if _, err := partialsBuf.Publish(sums, t == cfg.Iters); err != nil {
 				return err
 			}
 			model, err2 := modelBuf.WaitNewer(c.Context(), core.Version(t-1))
@@ -370,23 +357,23 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		// Final pass: color every pixel with the final centroids, exactly
 		// as the baseline renders its output.
 		return core.DiffusiveBatch(c, out, n,
-			func(worker, lo, hi int) error {
+			func(lo, hi int) error {
 				for pos := lo; pos < hi; pos++ {
 					p := ord.At(pos)
 					writeRendered(in, working, cents, p)
-					snap.Mark(worker, p)
+					snap.Mark(p)
 				}
 				return nil
 			},
 			func(processed int) (*pix.Image, error) { return publishSnapshot() },
-			core.RoundConfig{Granularity: cfg.ClusterGranularity, Workers: cfgWorkers, Policy: cfg.Publish},
+			core.RoundConfig{Granularity: cfg.ClusterGranularity, Policy: cfg.Publish},
 			true)
 	}); err != nil {
 		return nil, err
 	}
 
-	// Stage 2 (not anytime): reduce the thread-privatized partials of a
-	// completed pass into the next centroids. The cluster stage's
+	// Stage 2 (not anytime): reduce the partial sums of a completed pass
+	// into the next centroids. The cluster stage's
 	// publish-then-wait handshake makes the exchange lock-step, so every
 	// partials version is consumed exactly once.
 	if err := a.AddStage("reduce", func(c *core.Context) error {
@@ -400,9 +387,8 @@ func New(in *pix.Image, cfg Config) (*Run, error) {
 		return nil, err
 	}
 	// Warm-pool support. Both stages create their iteration state (centroids,
-	// per-worker accumulators) inside the stage function, so a restart
-	// rebuilds it; what persists across runs is the three buffers and the
-	// snapshotter. Rewinding the buffers also restarts the version numbering
+	// accumulator) inside the stage function, so a restart rebuilds it; what
+	// persists across runs is the three buffers and the snapshotter. Rewinding the buffers also restarts the version numbering
 	// the cluster↔reduce WaitNewer handshake counts on.
 	a.OnReset(func() {
 		snap.Reset()

@@ -173,8 +173,7 @@ func TestScheduleDerivationCoversDimensions(t *testing.T) {
 // TestConformStorageFaultDeterminism pins the reproducibility of the
 // drowsy-storage fault path: two runs of the same seeded faulty schedule
 // must corrupt identically and publish bit-identical final outputs (the
-// per-worker fault streams and the worker→position assignment are both
-// deterministic).
+// seeded fault stream follows the stage's deterministic read order).
 func TestConformStorageFaultDeterminism(t *testing.T) {
 	t.Parallel()
 	app := &conv2dApp{}

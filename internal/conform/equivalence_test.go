@@ -9,14 +9,14 @@ import (
 )
 
 // The runner-equivalence property: for a fixed seed and granularity, the
-// per-update runner (DiffusiveWorkers) and the batched runner
-// (DiffusiveBatch) must produce the same publish sequence — one snapshot
-// per round boundary, at the same processed counts, with the same buffer
-// versions — and bit-identical final outputs, regardless of worker count.
-// This is what licenses the core round loop's batched-checkpoint execution
-// and the per-worker span division as pure optimizations: every observable
-// of the anytime contract (version sequence, snapshot contents, final
-// output) is pinned across execution strategies.
+// per-update runner (Diffusive) and the batched runner (DiffusiveBatch)
+// must produce the same publish sequence — one snapshot per round
+// boundary, at the same processed counts, with the same buffer versions —
+// and bit-identical final outputs. This is what licenses the core round
+// loop's batched-checkpoint execution and the batched runner as pure
+// optimizations: every observable of the anytime contract (version
+// sequence, snapshot contents, final output) is pinned across execution
+// strategies.
 //
 // The sweep uses PublishEveryRound: the demand and adaptive policies
 // publish by wall-clock or reader timing and are deliberately
@@ -42,7 +42,7 @@ type equivPublish struct {
 // runEquivalence executes one diffusive pass of total updates writing
 // equivHash values into a fresh output array, recording every publish. It
 // returns the publish log, the final output, and the final buffer version.
-func runEquivalence(t *testing.T, total, granularity, workers int, seed uint64, batch bool) ([]equivPublish, []int32, core.Version) {
+func runEquivalence(t *testing.T, total, granularity int, seed uint64, batch bool) ([]equivPublish, []int32, core.Version) {
 	t.Helper()
 	outArr := make([]int32, total)
 	var log []equivPublish
@@ -54,13 +54,13 @@ func runEquivalence(t *testing.T, total, granularity, workers int, seed uint64, 
 		log = append(log, equivPublish{processed: processed, sum: sum})
 		return processed, nil
 	}
-	cfg := core.RoundConfig{Granularity: granularity, Workers: workers}
+	cfg := core.RoundConfig{Granularity: granularity}
 	out := core.NewBuffer[int]("out", nil)
 	a := core.New()
 	stage := func(c *core.Context) error {
 		if batch {
 			return core.DiffusiveBatch(c, out, total,
-				func(worker, lo, hi int) error {
+				func(lo, hi int) error {
 					for pos := lo; pos < hi; pos++ {
 						outArr[pos] = equivHash(seed, pos)
 					}
@@ -68,8 +68,8 @@ func runEquivalence(t *testing.T, total, granularity, workers int, seed uint64, 
 				},
 				snapshot, cfg, true)
 		}
-		return core.DiffusiveWorkers(c, out, total,
-			func(worker, pos int) error {
+		return core.Diffusive(c, out, total,
+			func(pos int) error {
 				outArr[pos] = equivHash(seed, pos)
 				return nil
 			},
@@ -92,15 +92,15 @@ func runEquivalence(t *testing.T, total, granularity, workers int, seed uint64, 
 }
 
 // TestConformRunnerEquivalence quick-checks the equivalence across
-// granularities (including non-dividing and degenerate ones), worker
-// counts, and both runners, against the per-update single-worker reference.
+// granularities (including non-dividing and degenerate ones), checking the
+// batched runner against the per-update reference.
 // Named TestConform* so the nightly `-run Conform` profile sweeps it.
 func TestConformRunnerEquivalence(t *testing.T) {
 	t.Parallel()
 	const total = 4109 // prime: no granularity below divides it evenly
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, granularity := range []int{1, 7, 64, 257, 1024, total} {
-			ref, refOut, refVersion := runEquivalence(t, total, granularity, 1, seed, false)
+			ref, refOut, refVersion := runEquivalence(t, total, granularity, seed, false)
 			if len(ref) == 0 || ref[len(ref)-1].processed != total {
 				t.Fatalf("g=%d: reference log malformed: %v", granularity, ref)
 			}
@@ -108,29 +108,22 @@ func TestConformRunnerEquivalence(t *testing.T) {
 				t.Fatalf("g=%d: reference published %d times but final version is %d",
 					granularity, len(ref), refVersion)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				for _, batch := range []bool{false, true} {
-					if workers == 1 && !batch {
-						continue // the reference itself
-					}
-					name := fmt.Sprintf("seed=%d g=%d w=%d batch=%v", seed, granularity, workers, batch)
-					log, outArr, version := runEquivalence(t, total, granularity, workers, seed, batch)
-					if len(log) != len(ref) {
-						t.Fatalf("%s: %d publishes, reference has %d", name, len(log), len(ref))
-					}
-					for i := range log {
-						if log[i] != ref[i] {
-							t.Fatalf("%s: publish %d is %+v, reference %+v", name, i, log[i], ref[i])
-						}
-					}
-					if version != refVersion {
-						t.Fatalf("%s: final version %d, reference %d", name, version, refVersion)
-					}
-					for pos := range outArr {
-						if outArr[pos] != refOut[pos] {
-							t.Fatalf("%s: output[%d] = %d, reference %d", name, pos, outArr[pos], refOut[pos])
-						}
-					}
+			name := fmt.Sprintf("seed=%d g=%d batch", seed, granularity)
+			log, outArr, version := runEquivalence(t, total, granularity, seed, true)
+			if len(log) != len(ref) {
+				t.Fatalf("%s: %d publishes, reference has %d", name, len(log), len(ref))
+			}
+			for i := range log {
+				if log[i] != ref[i] {
+					t.Fatalf("%s: publish %d is %+v, reference %+v", name, i, log[i], ref[i])
+				}
+			}
+			if version != refVersion {
+				t.Fatalf("%s: final version %d, reference %d", name, version, refVersion)
+			}
+			for pos := range outArr {
+				if outArr[pos] != refOut[pos] {
+					t.Fatalf("%s: output[%d] = %d, reference %d", name, pos, outArr[pos], refOut[pos])
 				}
 			}
 		}

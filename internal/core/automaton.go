@@ -225,7 +225,7 @@ func (a *Automaton) Stop() {
 // OnReset registers fn to run during Reset, after the automaton's own
 // control state has been rewound. Applications register the rewinding of
 // their per-run state here — output Buffer.Reset, snapshotter masks,
-// worker-private accumulators — so a pooled automaton can be checked out
+// stage accumulators — so a pooled automaton can be checked out
 // again without reallocating stages, permutations, or arenas. Hooks run in
 // registration order on the resetting goroutine; nil is ignored.
 func (a *Automaton) OnReset(fn func()) {

@@ -49,13 +49,11 @@ func BenchmarkBufferLatest(b *testing.B) {
 // for the dominant serving-path shape: a map-style kernel that computes
 // one output element per update (conv2d, debayer, histeq's apply stage all
 // have this form). The apply body is a single store into the update's own
-// output slot, so everything else on the profile is the round loop, worker
-// dispatch, and publish machinery — and because each worker's round span
-// is contiguous and cache-line-aligned, multi-worker runs write disjoint
-// line sets (the strided division used to shear every line across all
-// workers). The output array is verified after the timed loop: a runner
-// that drops or misroutes updates fails instead of benchmarking garbage.
-func benchDiffusive(b *testing.B, workers int, batch bool) {
+// output slot, so everything else on the profile is the round loop and
+// publish machinery. The output array is verified after the timed loop: a
+// runner that drops or misroutes updates fails instead of benchmarking
+// garbage.
+func benchDiffusive(b *testing.B, batch bool) {
 	b.Helper()
 	const total = 1 << 16
 	outArr := make([]int32, total)
@@ -68,19 +66,19 @@ func benchDiffusive(b *testing.B, workers int, batch bool) {
 		stage := func(c *Context) error {
 			if batch {
 				return DiffusiveBatch(c, out, total,
-					func(worker, lo, hi int) error {
+					func(lo, hi int) error {
 						for pos := lo; pos < hi; pos++ {
 							outArr[pos] = int32(pos)
 						}
 						return nil
 					},
 					snapshot,
-					RoundConfig{Granularity: total / 8, Workers: workers}, true)
+					RoundConfig{Granularity: total / 8}, true)
 			}
-			return DiffusiveWorkers(c, out, total,
-				func(worker, pos int) error { outArr[pos] = int32(pos); return nil },
+			return Diffusive(c, out, total,
+				func(pos int) error { outArr[pos] = int32(pos); return nil },
 				snapshot,
-				RoundConfig{Granularity: total / 8, Workers: workers})
+				RoundConfig{Granularity: total / 8})
 		}
 		if err := a.AddStage("d", stage); err != nil {
 			b.Fatal(err)
@@ -104,29 +102,11 @@ func benchDiffusive(b *testing.B, workers int, batch bool) {
 	}
 }
 
-// The worker sweep: NW splits each round into N spans run in order on the
-// stage goroutine, so every row should cost what 1W costs and allocate the
-// same. A gap means per-span or per-round overhead, such as a goroutine
-// per round, which once made 4W slower than 1W.
-func BenchmarkDiffusivePerUpdate(b *testing.B)      { benchDiffusive(b, 1, false) }
-func BenchmarkDiffusivePerUpdate2W(b *testing.B)    { benchDiffusive(b, 2, false) }
-func BenchmarkDiffusivePerUpdate4W(b *testing.B)    { benchDiffusive(b, 4, false) }
-func BenchmarkDiffusivePerUpdate8W(b *testing.B)    { benchDiffusive(b, 8, false) }
-func BenchmarkDiffusiveBatchPerUpdate(b *testing.B) { benchDiffusive(b, 1, true) }
-func BenchmarkDiffusiveBatchPerUpdate4W(b *testing.B) {
-	benchDiffusive(b, 4, true)
-}
-
-// benchPartial is one worker's private accumulator, padded to a cache
-// line — the thread-privatized-partials pattern DiffusiveWorkers documents
-// (§IV-A2), merged by snapshot at round quiescence.
-type benchPartial struct {
-	sum int64
-	_   [56]byte
-}
+func BenchmarkDiffusivePerUpdate(b *testing.B)      { benchDiffusive(b, false) }
+func BenchmarkDiffusiveBatchPerUpdate(b *testing.B) { benchDiffusive(b, true) }
 
 // BenchmarkDiffusiveReducePerUpdate is the reduce-shaped counterpart: each
-// update folds into its worker's partial, so every update carries a
+// update folds into the stage's accumulator, so every update carries a
 // load-add-store dependence on the previous one through the accumulator
 // cell. That serial chain, not the runner, is this variant's floor —
 // reduce kernels that care should accumulate locally per batch span
@@ -134,17 +114,17 @@ type benchPartial struct {
 func BenchmarkDiffusiveReducePerUpdate(b *testing.B) {
 	const total = 1 << 16
 	const want = int64(total) * (total - 1) / 2
-	parts := make([]benchPartial, 1)
+	var sum int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts[0].sum = 0
+		sum = 0
 		out := NewBuffer[int64]("out", nil)
 		a := New()
 		if err := a.AddStage("d", func(c *Context) error {
-			return DiffusiveWorkers(c, out, total,
-				func(worker, pos int) error { parts[worker].sum += int64(pos); return nil },
-				func(processed int) (int64, error) { return parts[0].sum, nil },
+			return Diffusive(c, out, total,
+				func(pos int) error { sum += int64(pos); return nil },
+				func(processed int) (int64, error) { return sum, nil },
 				RoundConfig{Granularity: total / 8})
 		}); err != nil {
 			b.Fatal(err)

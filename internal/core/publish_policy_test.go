@@ -163,51 +163,6 @@ func stageEnv(t *testing.T, stage func(*Context) error) error {
 	return a.Wait()
 }
 
-func TestDiffusiveWorkersExceedRoundSize(t *testing.T) {
-	out := NewBuffer[int]("out", nil)
-	const total = 6
-	var sum atomic.Int64
-	err := stageEnv(t, func(c *Context) error {
-		return DiffusiveWorkers(c, out, total,
-			func(worker, pos int) error { sum.Add(int64(pos + 1)); return nil },
-			func(processed int) (int, error) { return processed, nil },
-			RoundConfig{Granularity: 2, Workers: 16})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != total*(total+1)/2 {
-		t.Errorf("positions mis-applied: sum %d", got)
-	}
-	s, ok := out.Latest()
-	if !ok || !s.Final || s.Value != total {
-		t.Errorf("final snapshot = %+v, %v", s, ok)
-	}
-}
-
-func TestDiffusiveBatchWorkersExceedRoundSize(t *testing.T) {
-	out := NewBuffer[int]("out", nil)
-	const total = 5
-	var sum atomic.Int64
-	err := stageEnv(t, func(c *Context) error {
-		return DiffusiveBatch(c, out, total,
-			func(worker, lo, hi int) error {
-				for pos := lo; pos < hi; pos++ {
-					sum.Add(int64(pos + 1))
-				}
-				return nil
-			},
-			func(processed int) (int, error) { return processed, nil },
-			RoundConfig{Granularity: 2, Workers: 16}, true)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != total*(total+1)/2 {
-		t.Errorf("positions mis-applied: sum %d", got)
-	}
-}
-
 func TestDiffusiveGranularityExceedsTotal(t *testing.T) {
 	out := NewBuffer[int]("out", nil)
 	const total = 5

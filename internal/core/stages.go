@@ -78,12 +78,6 @@ type RoundConfig struct {
 	// approximate outputs become visible. Zero selects total/32 (at least
 	// 1).
 	Granularity int
-	// Workers is the number of worker spans each round is partitioned
-	// into (the multi-threaded sampling of §IV-C1). Zero selects 1. The
-	// spans run in worker order on the stage goroutine: Workers decides
-	// which worker index apply sees for a position, not how many
-	// goroutines run.
-	Workers int
 	// Policy selects when round snapshots are constructed and published.
 	// The zero value is PublishEveryRound.
 	Policy PublishPolicy
@@ -94,7 +88,7 @@ type RoundConfig struct {
 }
 
 func (cfg RoundConfig) withDefaults(total int) (RoundConfig, error) {
-	if cfg.Granularity < 0 || cfg.Workers < 0 {
+	if cfg.Granularity < 0 {
 		return cfg, fmt.Errorf("core: negative round config %+v", cfg)
 	}
 	if cfg.Policy < PublishEveryRound || cfg.Policy > PublishAdaptive {
@@ -109,9 +103,6 @@ func (cfg RoundConfig) withDefaults(total int) (RoundConfig, error) {
 			cfg.Granularity = 1
 		}
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
 	if cfg.PublishBudget == 0 {
 		cfg.PublishBudget = DefaultPublishBudget
 	}
@@ -124,45 +115,31 @@ func (cfg RoundConfig) withDefaults(total int) (RoundConfig, error) {
 //
 // apply(pos) performs update step pos (0 <= pos < total); positions are
 // executed exactly once, in ascending order, in rounds of Granularity
-// consecutive positions split into Workers spans. snapshot(processed) is
-// called with no apply running and returns the value to publish after the
-// first `processed` updates — typically a clone, possibly
-// weighted/normalized for non-idempotent reductions (§III-B2).
+// consecutive positions on the stage goroutine. snapshot(processed) is
+// called between rounds and returns the value to publish after the first
+// `processed` updates — typically a clone, possibly weighted/normalized
+// for non-idempotent reductions (§III-B2).
 func Diffusive[T any](c *Context, out *Buffer[T], total int, apply func(pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig) error {
-	return DiffusiveWorkers(c, out, total,
-		func(worker, pos int) error { return apply(pos) },
-		snapshot, cfg)
-}
-
-// DiffusiveWorkers is Diffusive with the executing worker's index exposed to
-// apply. Worker indices are in [0, Workers); worker w applies the w-th
-// contiguous span of every round, so apply may accumulate into
-// worker-private state — the thread-privatized partials the paper's
-// multi-threaded reductions use (§IV-A2, kmeans) — which snapshot then
-// merges during round quiescence.
-func DiffusiveWorkers[T any](c *Context, out *Buffer[T], total int, apply func(worker, pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig) error {
 	return DiffusivePass(c, out, total, apply, snapshot, cfg, true)
 }
 
-// DiffusivePass is DiffusiveWorkers with control over whether the pass's
-// last snapshot is published as the buffer's final output. An anytime child
+// DiffusivePass is Diffusive with control over whether the pass's last
+// snapshot is published as the buffer's final output. An anytime child
 // stage in an asynchronous pipeline runs one full diffusive pass per parent
 // snapshot it consumes (§III-C1, g(F_i) with g itself anytime); only the
 // pass over the parent's final snapshot may mark the child's buffer final,
 // so intermediate passes run with markFinal = false.
-func DiffusivePass[T any](c *Context, out *Buffer[T], total int, apply func(worker, pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
+func DiffusivePass[T any](c *Context, out *Buffer[T], total int, apply func(pos int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
 	return diffusiveRun(c, out, total,
-		func(worker, lo, hi int) error { return applySpan(worker, lo, hi, apply) },
+		func(lo, hi int) error { return applySpan(lo, hi, apply) },
 		snapshot, cfg, markFinal)
 }
 
 // DiffusiveBatch is DiffusivePass for stages whose per-update work is tiny
 // (a table lookup, a histogram increment): apply receives a contiguous
 // range [lo, hi) of update positions and iterates it directly, avoiding a
-// function call per update. Each round is split into one contiguous chunk
-// per worker; as with DiffusiveWorkers, worker w always receives the w-th
-// chunk, so worker-private accumulators are safe.
-func DiffusiveBatch[T any](c *Context, out *Buffer[T], total int, apply func(worker, lo, hi int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
+// function call per update. Each round reaches apply as one range.
+func DiffusiveBatch[T any](c *Context, out *Buffer[T], total int, apply func(lo, hi int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
 	return diffusiveRun(c, out, total, apply, snapshot, cfg, markFinal)
 }
 
@@ -184,17 +161,17 @@ func DiffusiveBatch[T any](c *Context, out *Buffer[T], total int, apply func(wor
 const checkpointStride = 4096
 
 // diffusiveRun is the shared round loop of the diffusive stage shapes: it
-// applies rounds of Granularity contiguous positions through run (split
-// into the pass's worker spans) and publishes snapshots as the
-// round config's publish policy dictates. A skipped round's updates are
-// simply covered by the next snapshot that does get built — diffusive
-// updates are cumulative, so every published version reflects all updates
-// applied so far regardless of how many publish opportunities were skipped.
+// applies rounds of Granularity contiguous positions through run, on the
+// stage goroutine, and publishes snapshots as the round config's publish
+// policy dictates. A skipped round's updates are simply covered by the next
+// snapshot that does get built — diffusive updates are cumulative, so every
+// published version reflects all updates applied so far regardless of how
+// many publish opportunities were skipped.
 //
 // Rounds are grouped into checkpoint batches (see checkpointStride): the
 // loop checkpoints once per batch, then runs the batch's rounds with a
 // publish opportunity at every round boundary exactly as before.
-func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker, lo, hi int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
+func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(lo, hi int) error, snapshot func(processed int) (T, error), cfg RoundConfig, markFinal bool) error {
 	if total < 0 {
 		return fmt.Errorf("core: diffusive stage %q has negative total %d", c.Name(), total)
 	}
@@ -249,7 +226,7 @@ func diffusiveRun[T any](c *Context, out *Buffer[T], total int, run func(worker,
 				n = total - done
 			}
 			gov.beginApply()
-			if err := applyRound(run, cfg.Workers, done, n); err != nil {
+			if err := run(done, done+n); err != nil {
 				return err
 			}
 			gov.endApply()
@@ -331,85 +308,38 @@ func (g *publishGovernor) shouldPublish(demand interface{ Demanded() bool }) boo
 // applySpan invokes apply for every position of [lo, hi) in ascending
 // order. The body is unrolled eight wide so the loop bookkeeping and error
 // checks pipeline across calls — with a small apply this roughly triples
-// per-update throughput, which is most of what separated DiffusiveWorkers
+// per-update throughput, which is most of what separated DiffusivePass
 // from DiffusiveBatch.
-func applySpan(worker, lo, hi int, apply func(worker, pos int) error) error {
+func applySpan(lo, hi int, apply func(pos int) error) error {
 	pos := lo
 	for ; hi-pos >= 8; pos += 8 {
-		if err := apply(worker, pos); err != nil {
+		if err := apply(pos); err != nil {
 			return err
 		}
-		if err := apply(worker, pos+1); err != nil {
+		if err := apply(pos + 1); err != nil {
 			return err
 		}
-		if err := apply(worker, pos+2); err != nil {
+		if err := apply(pos + 2); err != nil {
 			return err
 		}
-		if err := apply(worker, pos+3); err != nil {
+		if err := apply(pos + 3); err != nil {
 			return err
 		}
-		if err := apply(worker, pos+4); err != nil {
+		if err := apply(pos + 4); err != nil {
 			return err
 		}
-		if err := apply(worker, pos+5); err != nil {
+		if err := apply(pos + 5); err != nil {
 			return err
 		}
-		if err := apply(worker, pos+6); err != nil {
+		if err := apply(pos + 6); err != nil {
 			return err
 		}
-		if err := apply(worker, pos+7); err != nil {
+		if err := apply(pos + 7); err != nil {
 			return err
 		}
 	}
 	for ; pos < hi; pos++ {
-		if err := apply(worker, pos); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// spanAlign is the alignment quantum, in update positions, of per-worker
-// span boundaries: 16 positions of an int32-element working buffer is one
-// 64-byte cache line, so each worker's span covers whole lines. The
-// boundaries decide which worker applies which position, and so every
-// worker-private partial: moving them changes published values.
-const spanAlign = 16
-
-// spanBound returns worker boundary w of n positions split across workers:
-// the exact n*w/workers split rounded up to spanAlign, capped at n. Bounds
-// are non-decreasing in w, bound 0 is 0, and bound `workers` is n, so the
-// spans [bound(w), bound(w+1)) cover [0, n) exactly once.
-func spanBound(n, w, workers int) int {
-	if w >= workers {
-		return n
-	}
-	b := (n*w/workers + spanAlign - 1) &^ (spanAlign - 1)
-	if b > n {
-		b = n
-	}
-	return b
-}
-
-// applyRound executes one round over positions [start, start+n) on the
-// stage goroutine. The round is split into one span per worker (spanBound)
-// and the spans run in worker order, so worker w applies the share of
-// every round that the §IV-C1 partition among workers gives it.
-// Parallelism comes from the §III-C pipeline, whose stages run on
-// goroutines of their own; a round adds none.
-func applyRound(run func(worker, lo, hi int) error, workers, start, n int) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return run(0, start, start+n)
-	}
-	for w := 0; w < workers; w++ {
-		lo, hi := spanBound(n, w, workers), spanBound(n, w+1, workers)
-		if lo >= hi {
-			continue
-		}
-		if err := run(w, start+lo, start+hi); err != nil {
+		if err := apply(pos); err != nil {
 			return err
 		}
 	}

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -135,22 +132,19 @@ func TestDiffusiveNegativeConfigRejected(t *testing.T) {
 	out := NewBuffer[int]("out", nil)
 	err := runSingle(t, "cfg", func(c *Context) error {
 		return Diffusive(c, out, 10, func(int) error { return nil },
-			func(int) (int, error) { return 0, nil }, RoundConfig{Workers: -1})
+			func(int) (int, error) { return 0, nil }, RoundConfig{Granularity: -1})
 	})
 	if err == nil {
-		t.Error("negative workers accepted")
+		t.Error("negative granularity accepted")
 	}
 }
 
 // TestDiffusiveEveryPositionExactlyOnce is the bijectivity guarantee at the
-// execution layer, across worker counts and granularities.
+// execution layer, across granularities.
 func TestDiffusiveEveryPositionExactlyOnce(t *testing.T) {
-	f := func(rawTotal uint16, rawGran, rawWorkers uint8) bool {
+	f := func(rawTotal uint16, rawGran uint8) bool {
 		total := int(rawTotal)%2000 + 1
-		cfg := RoundConfig{
-			Granularity: int(rawGran) % 130,
-			Workers:     int(rawWorkers) % 9,
-		}
+		cfg := RoundConfig{Granularity: int(rawGran) % 130}
 		counts := make([]atomic.Int32, total)
 		out := NewBuffer[int]("out", nil)
 		a := New()
@@ -199,7 +193,7 @@ func TestDiffusiveSnapshotQuiescence(t *testing.T) {
 				}
 				return processed, nil
 			},
-			RoundConfig{Granularity: 25, Workers: 4})
+			RoundConfig{Granularity: 25})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,82 +203,19 @@ func TestDiffusiveSnapshotQuiescence(t *testing.T) {
 func TestDiffusiveApplyErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	out := NewBuffer[int]("out", nil)
-	for _, workers := range []int{1, 4} {
-		err := runSingle(t, "err", func(c *Context) error {
-			return Diffusive(c, out, 100,
-				func(pos int) error {
-					if pos == 57 {
-						return boom
-					}
-					return nil
-				},
-				func(processed int) (int, error) { return processed, nil },
-				RoundConfig{Granularity: 30, Workers: workers})
-		})
-		if !errors.Is(err, boom) {
-			t.Errorf("workers=%d err = %v", workers, err)
-		}
-		out = NewBuffer[int]("out", nil)
-	}
-}
-
-// TestDiffusiveWorkersSpansInOrderOnStageGoroutine pins how a multi-worker
-// pass executes: worker w applies only its spanBound span of the current
-// round, the spans run in worker order so positions ascend across the
-// whole pass, and no goroutine is started for the workers. None of it may
-// depend on GOMAXPROCS; CI runs it at -cpu 1,2,4.
-func TestDiffusiveWorkersSpansInOrderOnStageGoroutine(t *testing.T) {
-	const total, gran = 1000, 96 // the last round is a short one of 40
-	for _, workers := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("W%d", workers), func(t *testing.T) {
-			var (
-				mu   sync.Mutex // keeps the check race-free if apply ever runs concurrently
-				next int        // the position that must be applied next
-				base int        // goroutine count at stage start
-			)
-			apply := func(w, pos int) error {
-				mu.Lock()
-				defer mu.Unlock()
-				if pos != next {
-					return fmt.Errorf("worker %d applied position %d, want %d next", w, pos, next)
-				}
-				next++
-				start := pos / gran * gran
-				n := min(gran, total-start)
-				spans := min(workers, n)
-				if lo, hi := start+spanBound(n, w, spans), start+spanBound(n, w+1, spans); pos < lo || pos >= hi {
-					return fmt.Errorf("worker %d applied position %d outside its span [%d, %d)", w, pos, lo, hi)
-				}
-				if g := runtime.NumGoroutine(); g > base {
-					return fmt.Errorf("%d goroutines inside apply, %d at stage start", g, base)
+	err := runSingle(t, "err", func(c *Context) error {
+		return Diffusive(c, out, 100,
+			func(pos int) error {
+				if pos == 57 {
+					return boom
 				}
 				return nil
-			}
-			// The stage waits for Start to return, so the automaton's own
-			// goroutines all exist before base is taken.
-			release := make(chan struct{})
-			out := NewBuffer[int]("out", nil)
-			a := New()
-			if err := a.AddStage("d", func(c *Context) error {
-				<-release
-				base = runtime.NumGoroutine()
-				return DiffusiveWorkers(c, out, total, apply,
-					func(processed int) (int, error) { return processed, nil },
-					RoundConfig{Granularity: gran, Workers: workers})
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			close(release)
-			if err := a.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			if next != total {
-				t.Fatalf("pass applied %d of %d positions", next, total)
-			}
-		})
+			},
+			func(processed int) (int, error) { return processed, nil },
+			RoundConfig{Granularity: 30})
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v", err)
 	}
 }
 

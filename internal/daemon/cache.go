@@ -12,20 +12,18 @@ import (
 )
 
 // cacheEpoch fingerprints the configuration a cached snapshot depends on:
-// the input geometry and the worker count (worker count changes snapshot
-// granularity interleaving, not pixel values, but a conservative epoch is
-// cheap — a stale-config entry just misses and ages out). Any future knob
-// that changes what a route computes must be folded in here.
-func cacheEpoch(size, workers int) uint64 {
+// the input geometry. The worker count is not part of it, because it only
+// sizes the precise baseline's goroutines and changes no published byte.
+// Any future knob that changes what a route computes must be folded in
+// here.
+func cacheEpoch(size int) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, v := range []int{size, workers} {
-		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(v>>(8*i)))) * prime64
-		}
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(size>>(8*i)))) * prime64
 	}
 	return h
 }

@@ -210,7 +210,7 @@ func New(size, workers int, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.cacheEpoch = cacheEpoch(size, workers)
+	s.cacheEpoch = cacheEpoch(size)
 	if s.blur, err = s.newRoute("blur", cfg, gray, func() (*pix.Image, error) {
 		return conv2d.Precise(gray, conv2d.Config{Workers: workers})
 	}, func() (*core.Automaton, *core.Buffer[*pix.Image], error) {

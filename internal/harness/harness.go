@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -124,8 +125,10 @@ func (c *Collector) CopyOnRecord() {
 	c.copy = true
 }
 
-// Begin marks the automaton's start time.
+// Begin collects garbage and then marks the automaton's start time, so a
+// collection owed to setup allocations is not charged to the measured run.
 func (c *Collector) Begin() {
+	runtime.GC()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.start = time.Now()

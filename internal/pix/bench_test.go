@@ -28,7 +28,7 @@ func benchPublishPath(b *testing.B, mode SnapshotMode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewSnapshotter(working, 1, mode)
+		s, err := NewSnapshotter(working, mode)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func benchPublishPath(b *testing.B, mode SnapshotMode) {
 				hi = len(order)
 			}
 			for _, idx := range order[lo:hi] {
-				s.Mark(0, idx)
+				s.Mark(idx)
 			}
 			if _, err := s.Snapshot(); err != nil {
 				b.Fatal(err)

@@ -11,7 +11,7 @@ func seedWorking(t *testing.T, mode SnapshotMode) (*Snapshotter, *Image) {
 	t.Helper()
 	working := MustNew(64, 64, 1)
 	working.Fill(100)
-	s, err := NewSnapshotter(working, 2, mode)
+	s, err := NewSnapshotter(working, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSnapshotterSeedTrustsWorking(t *testing.T) {
 		}
 		// A recomputed pixel overrides the cache.
 		working.SetGray(40, 40, 7)
-		s.Mark(0, 40*64+40)
+		s.Mark(40*64 + 40)
 		snap, err = s.Snapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestSnapshotterSeedStaleTilesHoldFill(t *testing.T) {
 	}
 	// Fill the tree root so stale pixels have an ancestor to inherit.
 	working.SetGray(0, 0, 55)
-	s.Mark(0, 0)
+	s.Mark(0)
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestSnapshotterSeedTilesModeInvalidatesRing(t *testing.T) {
 	s, working := seedWorking(t, SnapshotTiles)
 	// Simulate a previous run: publish once so ring members hold old pixels.
 	working.SetGray(0, 0, 9)
-	s.Mark(0, 0)
+	s.Mark(0)
 	if _, err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,7 @@ func (g TileGrid) tileBounds(t int) (x0, y0, x1, y1 int) {
 }
 
 // DirtyTiles is a bitmap over a grid's tiles. It is not safe for concurrent
-// mutation; concurrent apply workers each mark a private set, merged with
-// Or during round quiescence.
+// mutation.
 type DirtyTiles struct {
 	g     TileGrid
 	words []uint64
@@ -338,15 +337,13 @@ const snapshotRingDepth = 3
 // The owning stage writes computed pixels into the working image and calls
 // Mark for each; Snapshot must be called during round quiescence (no Mark
 // running), which is precisely when diffusive snapshot callbacks run.
-// Mark is safe for concurrent use by distinct workers.
 type Snapshotter struct {
 	mode    SnapshotMode
 	working *Image
 	filled  []bool
 	grid    TileGrid
-	dirty   []*DirtyTiles // one per worker; nil slices in clone mode
+	dirty   *DirtyTiles // tiles changed since the last snapshot; nil in clone mode
 	cloner  *TileCloner
-	merge   *DirtyTiles // scratch for merging worker sets at snapshot time
 
 	// Warm-start state (see Seed): while seeded, unfilled pixels in trusted
 	// tiles render from the working image — which holds a previous run's
@@ -355,13 +352,10 @@ type Snapshotter struct {
 	seedStale *DirtyTiles // tiles whose seed values are NOT trusted; nil = trust all
 }
 
-// NewSnapshotter returns a snapshotter over working for the given worker
-// count and mode. The snapshotter owns the filled mask; the stage keeps
-// ownership of working and writes pixel values directly.
-func NewSnapshotter(working *Image, workers int, mode SnapshotMode) (*Snapshotter, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("pix: snapshotter workers %d must be positive", workers)
-	}
+// NewSnapshotter returns a snapshotter over working in the given mode. The
+// snapshotter owns the filled mask; the stage keeps ownership of working
+// and writes pixel values directly.
+func NewSnapshotter(working *Image, mode SnapshotMode) (*Snapshotter, error) {
 	if mode != SnapshotClone && mode != SnapshotTiles {
 		return nil, fmt.Errorf("pix: unknown snapshot mode %d", mode)
 	}
@@ -377,11 +371,7 @@ func NewSnapshotter(working *Image, workers int, mode SnapshotMode) (*Snapshotte
 			return nil, err
 		}
 		s.cloner = cloner
-		s.dirty = make([]*DirtyTiles, workers)
-		for w := range s.dirty {
-			s.dirty[w] = NewDirtyTiles(s.grid)
-		}
-		s.merge = NewDirtyTiles(s.grid)
+		s.dirty = NewDirtyTiles(s.grid)
 	}
 	return s, nil
 }
@@ -393,20 +383,20 @@ func (s *Snapshotter) Mode() SnapshotMode { return s.mode }
 // it, e.g. to report coverage). The caller must not mutate it.
 func (s *Snapshotter) Filled() []bool { return s.filled }
 
-// Mark records that worker w computed (or recomputed) pixel index
+// Mark records that the stage computed (or recomputed) pixel index
 // idx = y*W + x of the working image. In SnapshotTiles mode it dirties
 // every tile whose rendered content the write can influence: the pixel's
 // own tile, plus — because unfilled pixels inherit from their tree
 // ancestors — the pixel's whole ancestor block when it is (or could feed)
 // an inheritance source.
-func (s *Snapshotter) Mark(w, idx int) {
+func (s *Snapshotter) Mark(idx int) {
 	s.filled[idx] = true
 	if s.mode != SnapshotTiles {
 		return
 	}
 	x := idx % s.working.W
 	y := idx / s.working.W
-	d := s.dirty[w]
+	d := s.dirty
 	// Influence region of (x, y): it is the origin of tree blocks up to
 	// side s = lowest set bit of (x|y); every unfilled pixel in that block
 	// hold-fills from it (or from a descendant origin computed later), so
@@ -487,17 +477,13 @@ func (s *Snapshotter) Snapshot() (*Image, error) {
 		}
 		return img, nil
 	}
-	s.merge.Reset()
-	for _, d := range s.dirty {
-		s.merge.Or(d)
-		d.Reset()
-	}
-	s.cloner.Invalidate(s.merge)
+	s.cloner.Invalidate(s.dirty)
+	s.dirty.Reset()
 	return s.cloner.Sync(s.renderTile), nil
 }
 
 // Reset rewinds the snapshotter for a new run over the same working image:
-// the filled mask and per-worker dirty sets are cleared, and in
+// the filled mask and the dirty set are cleared, and in
 // SnapshotTiles mode every ring member is marked fully stale so no snapshot
 // of the new run can alias pixels from the previous one. Like Snapshot it
 // must run during quiescence (no Mark running); the stage's OnReset hook is
@@ -513,10 +499,7 @@ func (s *Snapshotter) Reset() {
 	if s.mode != SnapshotTiles {
 		return
 	}
-	for _, d := range s.dirty {
-		d.Reset()
-	}
-	s.merge.Reset()
+	s.dirty.Reset()
 	s.cloner.InvalidateAll()
 }
 

@@ -165,13 +165,10 @@ func TestTileClonerSyncsOnlyStaleTiles(t *testing.T) {
 
 func TestSnapshotterValidation(t *testing.T) {
 	im := MustNew(8, 8, 1)
-	if _, err := NewSnapshotter(im, 0, SnapshotClone); err == nil {
-		t.Fatal("workers 0 accepted")
-	}
-	if _, err := NewSnapshotter(im, 1, SnapshotMode(99)); err == nil {
+	if _, err := NewSnapshotter(im, SnapshotMode(99)); err == nil {
 		t.Fatal("bogus mode accepted")
 	}
-	s, err := NewSnapshotter(im, 2, SnapshotTiles)
+	s, err := NewSnapshotter(im, SnapshotTiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +205,15 @@ func fillTreeOrder(w, h int) []int {
 }
 
 // runSnapshotComparison marks pixels of a rnd-generated image in the given
-// order, spread across workers, snapshotting every snapEvery marks, and
+// order, snapshotting every snapEvery marks, and
 // fails unless the tile-mode snapshot is bit-identical to HoldFill at every
 // version. Returns false (for testing/quick) on mismatch.
-func runSnapshotComparison(t *testing.T, rnd *rand.Rand, w, h, c, workers, snapEvery int, order []int) bool {
+func runSnapshotComparison(t *testing.T, rnd *rand.Rand, w, h, c, snapEvery int, order []int) bool {
 	working := MustNew(w, h, c)
 	for i := range working.Pix {
 		working.Pix[i] = int32(rnd.Intn(256))
 	}
-	tiles, err := NewSnapshotter(working, workers, SnapshotTiles)
+	tiles, err := NewSnapshotter(working, SnapshotTiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +227,8 @@ func runSnapshotComparison(t *testing.T, rnd *rand.Rand, w, h, c, workers, snapE
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Logf("snapshot version %d diverged from HoldFill (%dx%dx%d, %d workers)",
-				version, w, h, c, workers)
+			t.Logf("snapshot version %d diverged from HoldFill (%dx%dx%d)",
+				version, w, h, c)
 			return false
 		}
 		return true
@@ -241,7 +238,7 @@ func runSnapshotComparison(t *testing.T, rnd *rand.Rand, w, h, c, workers, snapE
 		// Re-marks mutate the working value, modeling a recomputation pass
 		// (kmeans re-assigns every pixel each iteration).
 		working.Pix[idx*c] = int32(rnd.Intn(256))
-		tiles.Mark(i%workers, idx)
+		tiles.Mark(idx)
 		if (i+1)%snapEvery == 0 {
 			version++
 			if !check(version) {
@@ -259,7 +256,7 @@ func TestSnapshotterTilesMatchesHoldFillTreeOrder(t *testing.T) {
 	for _, geom := range [][2]int{{48, 40}, {33, 65}, {8, 8}, {1, 1}, {100, 3}} {
 		w, h := geom[0], geom[1]
 		order := fillTreeOrder(w, h)
-		if !runSnapshotComparison(t, rnd, w, h, 1, 3, max(1, len(order)/7), order) {
+		if !runSnapshotComparison(t, rnd, w, h, 1, max(1, len(order)/7), order) {
 			t.Fatalf("%dx%d tree-order fill diverged", w, h)
 		}
 	}
@@ -271,13 +268,13 @@ func TestSnapshotterTilesMatchesHoldFillRepeatedPasses(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
 	order := fillTreeOrder(40, 40)
 	double := append(append([]int(nil), order...), order...)
-	if !runSnapshotComparison(t, rnd, 40, 40, 3, 4, 97, double) {
+	if !runSnapshotComparison(t, rnd, 40, 40, 3, 97, double) {
 		t.Fatal("repeated-pass fill diverged")
 	}
 }
 
 // TestSnapshotterTilesQuick is the property test: for random geometry,
-// channel count, worker count, mark order (any permutation, not just tree
+// channel count, mark order (any permutation, not just tree
 // order), and snapshot cadence, dirty-tile snapshots are bit-identical to
 // full HoldFill clones at every published version.
 func TestSnapshotterTilesQuick(t *testing.T) {
@@ -286,14 +283,13 @@ func TestSnapshotterTilesQuick(t *testing.T) {
 		w := 1 + rnd.Intn(70)
 		h := 1 + rnd.Intn(70)
 		c := 1 + rnd.Intn(3)
-		workers := 1 + rnd.Intn(4)
 		order := rnd.Perm(w * h)
 		// Random re-marks: append a shuffled sample of already-marked pixels.
 		for _, i := range rnd.Perm(len(order))[:len(order)/3] {
 			order = append(order, order[i])
 		}
 		snapEvery := 1 + rnd.Intn(len(order))
-		return runSnapshotComparison(t, rnd, w, h, c, workers, snapEvery, order)
+		return runSnapshotComparison(t, rnd, w, h, c, snapEvery, order)
 	}
 	cfg := &quick.Config{MaxCount: 25}
 	if testing.Short() {
@@ -308,12 +304,12 @@ func TestSnapshotterTilesAliasingContract(t *testing.T) {
 	// A published snapshot must stay intact until ring-depth further
 	// publishes, then its storage is reused.
 	working := MustNew(64, 64, 1)
-	s, err := NewSnapshotter(working, 1, SnapshotTiles)
+	s, err := NewSnapshotter(working, SnapshotTiles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	working.SetGray(0, 0, 11)
-	s.Mark(0, 0)
+	s.Mark(0)
 	first, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +317,7 @@ func TestSnapshotterTilesAliasingContract(t *testing.T) {
 	keep := first.Clone()
 	for i := 0; i < snapshotRingDepth-1; i++ {
 		working.SetGray(0, 0, int32(20+i))
-		s.Mark(0, 0)
+		s.Mark(0)
 		if _, err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +326,7 @@ func TestSnapshotterTilesAliasingContract(t *testing.T) {
 		}
 	}
 	working.SetGray(0, 0, 99)
-	s.Mark(0, 0)
+	s.Mark(0)
 	reused, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -342,12 +338,12 @@ func TestSnapshotterTilesAliasingContract(t *testing.T) {
 
 func TestSnapshotterCloneSnapshotsImmutable(t *testing.T) {
 	working := MustNew(16, 16, 1)
-	s, err := NewSnapshotter(working, 1, SnapshotClone)
+	s, err := NewSnapshotter(working, SnapshotClone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	working.SetGray(0, 0, 5)
-	s.Mark(0, 0)
+	s.Mark(0)
 	first, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +351,7 @@ func TestSnapshotterCloneSnapshotsImmutable(t *testing.T) {
 	keep := first.Clone()
 	for v := 1; v < 10; v++ {
 		working.SetGray(0, 0, int32(v*10))
-		s.Mark(0, 0)
+		s.Mark(0)
 		if _, err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +368,7 @@ func TestSnapshotterCloneSnapshotsImmutable(t *testing.T) {
 func TestSnapshotterResetReuse(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	working := MustNew(48, 40, 1)
-	s, err := NewSnapshotter(working, 2, SnapshotTiles)
+	s, err := NewSnapshotter(working, SnapshotTiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +376,7 @@ func TestSnapshotterResetReuse(t *testing.T) {
 	run := func(cycle int) {
 		for i, idx := range order {
 			working.Pix[idx] = int32(rnd.Intn(256))
-			s.Mark(i%2, idx)
+			s.Mark(idx)
 			if (i+1)%61 == 0 || i == len(order)-1 {
 				got, err := s.Snapshot()
 				if err != nil {
@@ -410,12 +406,12 @@ func TestSnapshotterResetReuse(t *testing.T) {
 // TestSnapshotterResetCloneMode: Reset also clears the mask in clone mode.
 func TestSnapshotterResetCloneMode(t *testing.T) {
 	working := MustNew(8, 8, 1)
-	s, err := NewSnapshotter(working, 1, SnapshotClone)
+	s, err := NewSnapshotter(working, SnapshotClone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	working.SetGray(0, 0, 9)
-	s.Mark(0, 0)
+	s.Mark(0)
 	s.Reset()
 	if s.Filled()[0] {
 		t.Fatal("filled mask survived Reset")

@@ -8,9 +8,9 @@
 //     permuted order, each computed exactly once.
 //   - Input sampling (Reduce): for reduction computations with a
 //     commutative operator, input elements are consumed in a permuted
-//     order into worker-private accumulators; snapshots merge the partials
-//     and, for non-idempotent operators, weight them by population/sample
-//     size.
+//     order into one accumulator; each snapshot merges it into a fresh
+//     accumulator and, for non-idempotent operators, weights it by
+//     population/sample size.
 package sampling
 
 import (
@@ -27,27 +27,14 @@ import (
 // permutation this realizes the progressively-increasing-resolution
 // sampling of paper Figure 5.
 //
-// When cfg.Workers > 1, apply must write only to its own output element,
-// which map computations do by construction (disjoint-set union).
+// It runs as a batched diffusive stage: each round iterates its contiguous
+// range of order positions directly, so the per-element overhead is one
+// order lookup plus the apply call — not a chain of per-position wrappers.
 func Map[T any](c *core.Context, out *core.Buffer[T], ord perm.Order, apply func(dst int) error, snapshot func(processed int) (T, error), cfg core.RoundConfig) error {
-	return MapWorkers(c, out, ord,
-		func(worker, dst int) error { return apply(dst) },
-		snapshot, cfg)
-}
-
-// MapWorkers is Map with the executing worker's index exposed to apply, for
-// map stages whose element computation reads through worker-private state
-// (for example a per-worker approximate storage array).
-//
-// It runs as a batched diffusive stage: each worker iterates its
-// contiguous span of order positions directly, so the per-element overhead
-// is one order lookup plus the apply call — not a chain of per-position
-// wrappers.
-func MapWorkers[T any](c *core.Context, out *core.Buffer[T], ord perm.Order, apply func(worker, dst int) error, snapshot func(processed int) (T, error), cfg core.RoundConfig) error {
 	return core.DiffusiveBatch(c, out, ord.Len(),
-		func(worker, lo, hi int) error {
+		func(lo, hi int) error {
 			for pos := lo; pos < hi; pos++ {
-				if err := apply(worker, ord.At(pos)); err != nil {
+				if err := apply(ord.At(pos)); err != nil {
 					return err
 				}
 			}
@@ -57,7 +44,7 @@ func MapWorkers[T any](c *core.Context, out *core.Buffer[T], ord perm.Order, app
 }
 
 // Reduce describes an input-sampled commutative reduction over elements
-// 0..n-1 with worker-private partial accumulators of type A.
+// 0..n-1 into an accumulator of type A.
 type Reduce[A any] struct {
 	// NewAcc allocates an empty accumulator.
 	NewAcc func() A
@@ -65,10 +52,11 @@ type Reduce[A any] struct {
 	// accumulator.
 	Consume func(acc A, idx int) A
 	// Merge folds src into dst and returns the result. Merge must be
-	// commutative and associative across partials.
+	// commutative and associative.
 	Merge func(dst, src A) A
 	// Snapshot converts the merged accumulator over the first `processed`
-	// of `total` elements into the published value. This is where
+	// of `total` elements into the published value. It receives
+	// Merge(NewAcc(), acc), never the live accumulator. This is where
 	// non-idempotent reductions apply the paper's population weighting
 	// O'_i = O_i × n/i. The returned value must not alias live accumulator
 	// state (it is published without further cloning).
@@ -89,27 +77,15 @@ func (r Reduce[A]) Run(c *core.Context, out *core.Buffer[A], ord perm.Order, cfg
 	if err := r.validate(); err != nil {
 		return err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	cfg.Workers = workers
-	partials := make([]A, workers)
-	for w := range partials {
-		partials[w] = r.NewAcc()
-	}
+	acc := r.NewAcc()
 	total := ord.Len()
-	return core.DiffusiveWorkers(c, out, total,
-		func(worker, pos int) error {
-			partials[worker] = r.Consume(partials[worker], ord.At(pos))
+	return core.Diffusive(c, out, total,
+		func(pos int) error {
+			acc = r.Consume(acc, ord.At(pos))
 			return nil
 		},
 		func(processed int) (A, error) {
-			merged := r.NewAcc()
-			for _, p := range partials {
-				merged = r.Merge(merged, p)
-			}
-			return r.Snapshot(merged, processed, total)
+			return r.Snapshot(r.Merge(r.NewAcc(), acc), processed, total)
 		},
 		cfg)
 }

@@ -109,21 +109,18 @@ func TestReduceExactFinalSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := core.NewBuffer[int64]("sum", nil)
-	for _, workers := range []int{1, 4} {
-		out = core.NewBuffer[int64]("sum", nil)
-		err = runStage(t, func(c *core.Context) error {
-			return sumReduce().Run(c, out, ord, core.RoundConfig{Granularity: 512, Workers: workers})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, ok := out.Latest()
-		if !ok || !snap.Final {
-			t.Fatal("no final snapshot")
-		}
-		if snap.Value != int64(n)*(n-1)/2 {
-			t.Errorf("workers=%d: final sum = %d, want %d", workers, snap.Value, int64(n)*(n-1)/2)
-		}
+	err = runStage(t, func(c *core.Context) error {
+		return sumReduce().Run(c, out, ord, core.RoundConfig{Granularity: 512})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := out.Latest()
+	if !ok || !snap.Final {
+		t.Fatal("no final snapshot")
+	}
+	if snap.Value != int64(n)*(n-1)/2 {
+		t.Errorf("final sum = %d, want %d", snap.Value, int64(n)*(n-1)/2)
 	}
 }
 
@@ -142,7 +139,7 @@ func TestReduceWeightedSnapshotsApproximateFinal(t *testing.T) {
 	out := core.NewBuffer[int64]("sum", nil)
 	out.OnPublish(func(s core.Snapshot[int64]) { snaps = append(snaps, s) })
 	err = runStage(t, func(c *core.Context) error {
-		return sumReduce().Run(c, out, ord, core.RoundConfig{Granularity: n / 16, Workers: 2})
+		return sumReduce().Run(c, out, ord, core.RoundConfig{Granularity: n / 16})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +229,7 @@ func TestReduceIdempotentMax(t *testing.T) {
 	out := core.NewBuffer[int64]("max", nil)
 	out.OnPublish(func(s core.Snapshot[int64]) { snaps = append(snaps, s.Value) })
 	err = runStage(t, func(c *core.Context) error {
-		return maxReduce.Run(c, out, ord, core.RoundConfig{Granularity: 128, Workers: 3})
+		return maxReduce.Run(c, out, ord, core.RoundConfig{Granularity: 128})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,13 +52,8 @@ func MapSample[T any](c *Context, out *Buffer[T], ord Order, apply func(dst int)
 	return sampling.Map(c, out, ord, apply, snapshot, cfg)
 }
 
-// MapSampleWorkers is MapSample with the executing worker's index exposed.
-func MapSampleWorkers[T any](c *Context, out *Buffer[T], ord Order, apply func(worker, dst int) error, snapshot func(processed int) (T, error), cfg RoundConfig) error {
-	return sampling.MapWorkers(c, out, ord, apply, snapshot, cfg)
-}
-
-// Reduce describes an input-sampled commutative reduction with
-// worker-private partial accumulators (paper §III-B2, input sampling).
+// Reduce describes an input-sampled commutative reduction into an
+// accumulator (paper §III-B2, input sampling).
 type Reduce[A any] = sampling.Reduce[A]
 
 // RunReduce executes the reduction as a diffusive anytime stage over the
